@@ -9,6 +9,8 @@ The package splits into five model layers plus plumbing:
   optimal_control        therapy scheduling by indirect and direct solvers
 
 config, outputs and cli provide the JSON-driven command line front end.
+The competition equations and their Jacobian are defined once, in
+competition_dynamics.competition_equations; the other layers build on it.
 """
 
 from .competition_dynamics import (

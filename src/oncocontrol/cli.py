@@ -18,17 +18,21 @@ order, so the thread count never changes the output, only the wall time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import growth_models
 from .competition_dynamics import (
+    State,
+    Trajectory,
     coexistence_field,
     competition_field,
     controlled_field,
@@ -169,6 +173,57 @@ def _solution_dict(sol: OCPSolution) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
+def _write_outputs(
+    cfg: ScenarioConfig,
+    stem: str,
+    table: tuple[list[str], Iterable[Sequence]] | None = None,
+    payload: dict | None = None,
+) -> list[Path]:
+    """Write <stem>.csv from table = (header, rows) and <stem>.json from
+    payload stamped with kind and seed, each when the output options enable
+    it; return the paths written."""
+    files: list[Path] = []
+    if table is not None and cfg.output.csv:
+        path = cfg.output.directory / f"{stem}.csv"
+        write_csv(path, *table)
+        files.append(path)
+    if payload is not None and cfg.output.json:
+        path = cfg.output.directory / f"{stem}.json"
+        write_json(path, {"kind": cfg.kind, "seed": cfg.seed, **payload})
+        files.append(path)
+    return files
+
+
+_TRAJECTORY_HEADER = ["time (day)", "healthy (cells)", "cancer (cells)"]
+
+
+def _trajectory_rows(traj: Trajectory, stride: int, *extra) -> Iterator[tuple]:
+    """Rows (time, healthy, cancer, *extra columns) at every stride-th sample
+    and the last one, as Python scalars."""
+    idx = _stride_indices(len(traj.times), stride)
+    columns = (traj.times, traj.healthy, traj.cancer, *extra)
+    yield from zip(*(np.asarray(col)[idx].tolist() for col in columns))
+
+
+def _system(p: dict):
+    """Field of the configured system, and a thunk for its equilibria
+    without the nonlinear probe."""
+    dynamics = competition_params_from(p["dynamics"])
+    system = p.get("system", "competition")
+    if system != "controlled":
+        factory = coexistence_field if system == "coexistence" else competition_field
+        return factory(dynamics), lambda: equilibria_uncontrolled(
+            dynamics, competitive=system == "competition", probe_nonhyperbolic=False
+        )
+    if "control" not in p:
+        raise ConfigError("controlled system needs a control block")
+    control = control_params_from(p["control"])
+    intensity = p.get("intensity", 0.0)
+    return controlled_field(dynamics, control, intensity), lambda: (
+        equilibria_constant_control(dynamics, control, intensity, probe_nonhyperbolic=False)
+    )
+
+
 def _run_growth(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
     params = growth_params_from(p)
@@ -184,31 +239,20 @@ def _run_growth(cfg: ScenarioConfig) -> ScenarioResult:
     }
     curves = {law: evaluators[law](params, times) for law in laws}
 
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / "growth.csv"
-        idx = _stride_indices(len(times), cfg.output.stride)
-        header = ["time (day)"] + [f"{law} (cells)" for law in laws]
-        rows = [[times[i]] + [curves[law][i] for law in laws] for i in idx]
-        write_csv(path, header, rows)
-        files.append(path)
-    if cfg.output.json:
-        path = out / "growth.json"
-        summary: dict = {
-            "kind": cfg.kind,
-            "seed": cfg.seed,
-            "final": {law: float(curves[law][-1]) for law in laws},
-        }
-        asymptotes = {}
-        if "gompertz" in laws:
-            asymptotes["gompertz"] = growth_models.gompertz_asymptote(params)
-        if "verhulst" in laws:
-            asymptotes["verhulst"] = params.capacity
-        if asymptotes:
-            summary["asymptotes"] = asymptotes
-        write_json(path, summary)
-        files.append(path)
+    summary: dict = {"final": {law: float(curves[law][-1]) for law in laws}}
+    asymptotes = {}
+    if "gompertz" in laws:
+        asymptotes["gompertz"] = growth_models.gompertz_asymptote(params)
+    if "verhulst" in laws:
+        asymptotes["verhulst"] = params.capacity
+    if asymptotes:
+        summary["asymptotes"] = asymptotes
+    rows = (
+        [times[i]] + [curves[law][i] for law in laws]
+        for i in _stride_indices(len(times), cfg.output.stride)
+    )
+    header = ["time (day)"] + [f"{law} (cells)" for law in laws]
+    files = _write_outputs(cfg, "growth", (header, rows), summary)
 
     finals = ", ".join(f"{law}={float(curves[law][-1]):.6g}" for law in laws)
     return ScenarioResult(0, files, f"growth: t_end={p['t_end']:g} {finals}")
@@ -236,44 +280,23 @@ def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
         if s < p["t_end"]
     )
 
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / "fractionated.csv"
-        idx = _stride_indices(len(traj.times), cfg.output.stride)
-        assert traj.regimes is not None and traj.in_session is not None
-        write_csv(
-            path,
-            ["time (day)", "healthy (cells)", "cancer (cells)", "regime", "in_session"],
-            [
-                [
-                    traj.times[i],
-                    traj.states[i, 0],
-                    traj.states[i, 1],
-                    traj.regimes[i],
-                    bool(traj.in_session[i]),
-                ]
-                for i in idx
-            ],
-        )
-        files.append(path)
-    if cfg.output.json:
-        path = out / "fractionated.json"
-        write_json(
-            path,
-            {
-                "kind": cfg.kind,
-                "seed": cfg.seed,
-                "final_healthy": final.healthy,
-                "final_cancer": final.cancer,
-                "cured": cured,
-                "minimum_cancer": float(np.min(traj.cancer)),
-                "dose_per_session": plan.dose_per_session,
-                "total_dose": delivered,
-                "sessions": len(plan.session_starts),
-            },
-        )
-        files.append(path)
+    files = _write_outputs(
+        cfg,
+        "fractionated",
+        (
+            _TRAJECTORY_HEADER + ["regime", "in_session"],
+            _trajectory_rows(traj, cfg.output.stride, traj.regimes, traj.in_session),
+        ),
+        {
+            "final_healthy": final.healthy,
+            "final_cancer": final.cancer,
+            "cured": cured,
+            "minimum_cancer": float(np.min(traj.cancer)),
+            "dose_per_session": plan.dose_per_session,
+            "total_dose": delivered,
+            "sessions": len(plan.session_starts),
+        },
+    )
 
     word = "eradicated" if cured else "persistent"
     return ScenarioResult(
@@ -284,22 +307,9 @@ def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _system_field(p: dict):
-    dynamics = competition_params_from(p["dynamics"])
-    system = p.get("system", "competition")
-    if system == "coexistence":
-        return dynamics, coexistence_field(dynamics)
-    if system == "competition":
-        return dynamics, competition_field(dynamics)
-    if "control" not in p:
-        raise ConfigError("controlled system needs a control block")
-    control = control_params_from(p["control"])
-    return dynamics, controlled_field(dynamics, control, p.get("intensity", 0.0))
-
-
 def _run_competition(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
-    _, field = _system_field(p)
+    field, _ = _system(p)
     times = np.linspace(0.0, p["t_end"], p["samples"])
     traj = integrate(
         field,
@@ -310,31 +320,17 @@ def _run_competition(cfg: ScenarioConfig) -> ScenarioResult:
         t_eval=times,
     )
 
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / "competition.csv"
-        idx = _stride_indices(len(traj.times), cfg.output.stride)
-        write_csv(
-            path,
-            ["time (day)", "healthy (cells)", "cancer (cells)"],
-            [[traj.times[i], traj.states[i, 0], traj.states[i, 1]] for i in idx],
-        )
-        files.append(path)
     final = traj.final_state()
-    if cfg.output.json:
-        path = out / "competition.json"
-        write_json(
-            path,
-            {
-                "kind": cfg.kind,
-                "seed": cfg.seed,
-                "system": p["system"],
-                "final_healthy": final.healthy,
-                "final_cancer": final.cancer,
-            },
-        )
-        files.append(path)
+    files = _write_outputs(
+        cfg,
+        "competition",
+        (_TRAJECTORY_HEADER, _trajectory_rows(traj, cfg.output.stride)),
+        {
+            "system": p["system"],
+            "final_healthy": final.healthy,
+            "final_cancer": final.cancer,
+        },
+    )
     return ScenarioResult(
         0,
         files,
@@ -349,23 +345,12 @@ def _write_reports(
     reports: list[EquilibriumReport],
     extra: dict,
 ) -> list[Path]:
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / f"{stem}.csv"
-        write_csv(path, _REPORT_HEADER, [_report_row(r) for r in reports])
-        files.append(path)
-    if cfg.output.json:
-        path = out / f"{stem}.json"
-        payload = {
-            "kind": cfg.kind,
-            "seed": cfg.seed,
-            "equilibria": [_report_dict(r) for r in reports],
-        }
-        payload.update(extra)
-        write_json(path, payload)
-        files.append(path)
-    return files
+    return _write_outputs(
+        cfg,
+        stem,
+        (_REPORT_HEADER, map(_report_row, reports)),
+        {"equilibria": [_report_dict(r) for r in reports], **extra},
+    )
 
 
 def _run_equilibria(cfg: ScenarioConfig) -> ScenarioResult:
@@ -406,15 +391,11 @@ def _run_constant_control(cfg: ScenarioConfig) -> ScenarioResult:
             (0.0, sim["t_end"]),
             t_eval=times,
         )
-        if cfg.output.csv:
-            path = cfg.output.directory / "constant_control_trajectory.csv"
-            idx = _stride_indices(len(traj.times), cfg.output.stride)
-            write_csv(
-                path,
-                ["time (day)", "healthy (cells)", "cancer (cells)"],
-                [[traj.times[i], traj.states[i, 0], traj.states[i, 1]] for i in idx],
-            )
-            files.append(path)
+        files += _write_outputs(
+            cfg,
+            "constant_control_trajectory",
+            (_TRAJECTORY_HEADER, _trajectory_rows(traj, cfg.output.stride)),
+        )
 
     stable = [r.label for r in reports if r.classification == "stable sink"]
     return ScenarioResult(
@@ -442,37 +423,14 @@ def _solve_for(setup: OCPSetup, which: str, p: dict) -> OCPSolution:
     )
 
 
-def _write_solution_csv(cfg: ScenarioConfig, name: str, sol: OCPSolution) -> Path:
+def _solution_table(sol: OCPSolution, stride: int) -> tuple[list[str], Iterator[tuple]]:
     traj = sol.trajectory()
-    assert traj.controls is not None
-    header = [
-        "time (day)",
-        "healthy (cells)",
-        "cancer (cells)",
-        "intensity (dimensionless)",
-    ]
-    idx = _stride_indices(len(sol.times), cfg.output.stride)
+    header = _TRAJECTORY_HEADER + ["intensity (dimensionless)"]
+    extra = [traj.controls]
     if sol.adjoints is not None:
         header += ["adjoint_healthy (1/cells)", "adjoint_cancer (1/cells)"]
-        rows = [
-            [
-                sol.times[i],
-                sol.states[i, 0],
-                sol.states[i, 1],
-                traj.controls[i],
-                sol.adjoints[i, 0],
-                sol.adjoints[i, 1],
-            ]
-            for i in idx
-        ]
-    else:
-        rows = [
-            [sol.times[i], sol.states[i, 0], sol.states[i, 1], traj.controls[i]]
-            for i in idx
-        ]
-    path = cfg.output.directory / name
-    write_csv(path, header, rows)
-    return path
+        extra += [sol.adjoints[:, 0], sol.adjoints[:, 1]]
+    return header, _trajectory_rows(traj, stride, *extra)
 
 
 def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
@@ -486,13 +444,12 @@ def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
         solutions["direct"] = _solve_for(setup, "direct", p)
 
     files: list[Path] = []
-    if cfg.output.csv:
-        for name, sol in solutions.items():
-            files.append(_write_solution_csv(cfg, f"ocp_{name}.csv", sol))
+    for name, sol in solutions.items():
+        files += _write_outputs(
+            cfg, f"ocp_{name}", _solution_table(sol, cfg.output.stride)
+        )
 
     payload: dict = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
         "horizon": setup.horizon,
         "n_intervals": setup.n_intervals,
         "solutions": {name: _solution_dict(sol) for name, sol in solutions.items()},
@@ -507,10 +464,7 @@ def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
             "control_l2_gap": float(np.sqrt(np.sum(gap**2) * width)),
             "control_max_gap": float(np.max(np.abs(gap))),
         }
-    if cfg.output.json:
-        path = cfg.output.directory / "ocp.json"
-        write_json(path, payload)
-        files.append(path)
+    files += _write_outputs(cfg, "ocp", payload=payload)
 
     all_converged = all(s.converged for s in solutions.values())
     objs = ", ".join(
@@ -535,68 +489,39 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
         labels = [f"scenario_{i + 1}" for i in range(len(initials))]
 
     def solve_one(initial) -> OCPSolution:
-        setup = OCPSetup(
-            dynamics=base.dynamics,
-            control=base.control,
-            initial=initial,
-            horizon=base.horizon,
-            n_intervals=base.n_intervals,
-            refine=base.refine,
-            cost=base.cost,
-        )
-        return _solve_for(setup, p["solver"], p)
+        return _solve_for(dataclasses.replace(base, initial=initial), p["solver"], p)
 
     solutions = _parallel_map(solve_one, initials)
     rows = dose_report(solutions, labels, p.get("constant_intensity"))
 
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / "dose_report.csv"
-        write_csv(
-            path,
-            [
-                "scenario",
-                "protocol",
-                "start (day)",
-                "end (day)",
-                "intensity (dimensionless)",
-                "interval_dose (intensity-day)",
-                "total_dose (intensity-day)",
-            ],
-            [
-                [
-                    r.scenario,
-                    r.protocol,
-                    r.start,
-                    r.end,
-                    r.intensity,
-                    r.interval_dose,
-                    r.total_dose,
-                ]
-                for r in rows
-            ],
-        )
-        files.append(path)
-    if cfg.output.json:
-        totals: dict = {}
-        for r in rows:
-            totals.setdefault(r.scenario, {})[r.protocol] = r.total_dose
-        path = out / "dose_report.json"
-        write_json(
-            path,
-            {
-                "kind": cfg.kind,
-                "seed": cfg.seed,
-                "solver": p["solver"],
-                "totals": totals,
-                "solutions": {
-                    label: _solution_dict(sol)
-                    for label, sol in zip(labels, solutions)
-                },
+    totals: dict = {}
+    for r in rows:
+        totals.setdefault(r.scenario, {})[r.protocol] = r.total_dose
+    header = [
+        "scenario",
+        "protocol",
+        "start (day)",
+        "end (day)",
+        "intensity (dimensionless)",
+        "interval_dose (intensity-day)",
+        "total_dose (intensity-day)",
+    ]
+    table = (
+        [r.scenario, r.protocol, r.start, r.end, r.intensity, r.interval_dose, r.total_dose]
+        for r in rows
+    )
+    files = _write_outputs(
+        cfg,
+        "dose_report",
+        (header, table),
+        {
+            "solver": p["solver"],
+            "totals": totals,
+            "solutions": {
+                label: _solution_dict(sol) for label, sol in zip(labels, solutions)
             },
-        )
-        files.append(path)
+        },
+    )
 
     all_converged = all(s.converged for s in solutions)
     return ScenarioResult(
@@ -609,7 +534,7 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
-    dynamics, field = _system_field(p)
+    field, equilibria = _system(p)
     axis = p["grid"]
     h_values = np.linspace(axis["healthy"]["min"], axis["healthy"]["max"], axis["healthy"]["count"])
     c_values = np.linspace(axis["cancer"]["min"], axis["cancer"]["max"], axis["cancer"]["count"])
@@ -618,12 +543,10 @@ def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
         (float(h0), float(c0)) for h0 in h_values for c0 in c_values
     ]
 
-    from .competition_dynamics import State as _State
-
     def run_one(start):
         return integrate(
             field,
-            _State(start[0], start[1]),
+            State(start[0], start[1]),
             (0.0, p["t_end"]),
             rtol=p["rtol"],
             atol=p["atol"],
@@ -632,47 +555,17 @@ def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
 
     trajectories = _parallel_map(run_one, starts)
 
-    files: list[Path] = []
-    out = cfg.output.directory
-    if cfg.output.csv:
-        path = out / "phase_portrait.csv"
-        rows = []
-        idx = _stride_indices(len(times), cfg.output.stride)
-        for tid, traj in enumerate(trajectories):
-            for i in idx:
-                rows.append(
-                    [tid, traj.times[i], traj.states[i, 0], traj.states[i, 1]]
-                )
-        write_csv(
-            path,
-            ["trajectory", "time (day)", "healthy (cells)", "cancer (cells)"],
-            rows,
-        )
-        files.append(path)
-
-    payload: dict = {
-        "kind": cfg.kind,
-        "seed": cfg.seed,
-        "system": p["system"],
-        "trajectories": len(trajectories),
-    }
+    rows = (
+        (tid, *row)
+        for tid, traj in enumerate(trajectories)
+        for row in _trajectory_rows(traj, cfg.output.stride)
+    )
+    payload: dict = {"system": p["system"], "trajectories": len(trajectories)}
     if p["include_equilibria"]:
-        if p["system"] == "controlled":
-            control = control_params_from(p["control"])
-            reports = equilibria_constant_control(
-                dynamics, control, p.get("intensity", 0.0), probe_nonhyperbolic=False
-            )
-        else:
-            reports = equilibria_uncontrolled(
-                dynamics,
-                competitive=p["system"] == "competition",
-                probe_nonhyperbolic=False,
-            )
-        payload["equilibria"] = [_report_dict(r) for r in reports]
-    if cfg.output.json:
-        path = out / "phase_portrait.json"
-        write_json(path, payload)
-        files.append(path)
+        payload["equilibria"] = [_report_dict(r) for r in equilibria()]
+    files = _write_outputs(
+        cfg, "phase_portrait", (["trajectory"] + _TRAJECTORY_HEADER, rows), payload
+    )
 
     return ScenarioResult(
         0, files, f"phase-portrait: {len(trajectories)} trajectories written"
@@ -729,14 +622,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"config kind {cfg.kind!r} does not match subcommand {args.kind!r}"
             )
         if args.out is not None:
-            from .config import OutputOptions
-
-            cfg.output = OutputOptions(
-                directory=Path(args.out),
-                csv=cfg.output.csv,
-                json=cfg.output.json,
-                stride=cfg.output.stride,
-            )
+            cfg.output = dataclasses.replace(cfg.output, directory=Path(args.out))
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("seed must be nonnegative")

@@ -10,6 +10,10 @@ Three right-hand sides are provided:
                  removes healthy cells at healthy_kill_coeff*u per day and
                  cancer cells at cancer_kill_coeff*u per day
 
+The competition and controlled systems are one system (untreated is zero
+kill coefficients), defined once with its Jacobian in competition_equations;
+every consumer in stability_analysis and optimal_control is built from it.
+
 States are cell counts and must stay nonnegative.  The integrator is an
 embedded Dormand-Prince 5(4) pair with proportional step control.  A state
 component that steps slightly below zero (within 1e3*atol) is clipped to
@@ -133,12 +137,63 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # right-hand sides
 #
-# The *_field factories return plain float closures f(t, h, c) -> (dh, dc)
-# so the integrator's inner loop never touches numpy.  The rhs_* wrappers
-# are the one-shot variants for callers holding State objects.
+# The *_field factories return plain float closures f(t, h, c) -> (dh, dc).
+# integrate wraps each evaluation in a 2-vector, and solve_ode does its
+# stage arithmetic in numpy.  The rhs_* wrappers are the one-shot variants
+# for callers holding State objects.
 # ---------------------------------------------------------------------------
 
 Field = Callable[[float, float, float], tuple[float, float]]
+Rates = Callable[[float, float, float], tuple[float, float]]
+Jacobian = Callable[[float, float, float], tuple[float, float, float, float]]
+
+
+def competition_equations(
+    rh: float, rc: float, k: float, gamma: float, lam: float, mu: float
+) -> tuple[Rates, Jacobian]:
+    """Right-hand side and Jacobian of the controlled competition system.
+
+    rates(h, c, u) returns (dh/dt, dc/dt) at intensity u; jacobian(h, c, u)
+    returns the state Jacobian row by row as (dh'/dh, dh'/dc, dc'/dh,
+    dc'/dc).  Plain floats in and out, so the closures can sit in scalar
+    loops; lam = mu = 0 gives the untreated system.
+    """
+
+    def rates(h: float, c: float, u: float) -> tuple[float, float]:
+        crowd = 1.0 - (h + c) / k
+        return (
+            rh * crowd * h - gamma * h * c - lam * u * h,
+            rc * crowd * c - mu * u * c,
+        )
+
+    def jacobian(h: float, c: float, u: float) -> tuple[float, float, float, float]:
+        return (
+            rh * (1.0 - (2.0 * h + c) / k) - gamma * c - lam * u,
+            -h * (rh / k + gamma),
+            -rc * c / k,
+            rc * (1.0 - (h + 2.0 * c) / k) - mu * u,
+        )
+
+    return rates, jacobian
+
+
+def equations_for(
+    params: CompetitionParams, control: ControlParams | None = None
+) -> tuple[Rates, Jacobian]:
+    """competition_equations at the given parameters; no control is untreated."""
+    lam, mu = (
+        (0.0, 0.0)
+        if control is None
+        else (control.healthy_kill_coeff, control.cancer_kill_coeff)
+    )
+    return competition_equations(
+        params.healthy_rate,
+        params.cancer_rate,
+        params.shared_capacity,
+        params.competition_coeff,
+        lam,
+        mu,
+    )
 
 
 def coexistence_field(params: CompetitionParams) -> Field:
@@ -162,13 +217,10 @@ def coexistence_field(params: CompetitionParams) -> Field:
 
 def competition_field(params: CompetitionParams) -> Field:
     """Shared capacity with a bilinear competition loss on healthy cells."""
-    rh, rc = params.healthy_rate, params.cancer_rate
-    k = params.shared_capacity
-    gamma = params.competition_coeff
+    rates, _ = equations_for(params)
 
     def field(t: float, h: float, c: float) -> tuple[float, float]:
-        crowd = 1.0 - (h + c) / k
-        return (rh * crowd * h - gamma * h * c, rc * crowd * c)
+        return rates(h, c, 0.0)
 
     return field
 
@@ -183,31 +235,21 @@ def controlled_field(
     intensity is either a constant in [0, max_intensity] or a callable
     u(t); callables are trusted to respect the bound (the solvers clamp).
     """
-    rh, rc = params.healthy_rate, params.cancer_rate
-    k = params.shared_capacity
-    gamma = params.competition_coeff
-    lam = control.healthy_kill_coeff
-    mu = control.cancer_kill_coeff
+    rates, _ = equations_for(params, control)
 
     if callable(intensity):
-        u_of_t = intensity
-    else:
-        u_const = float(intensity)
-        if not (0.0 <= u_const <= control.max_intensity):
-            raise ConfigError(
-                f"intensity {u_const:g} outside [0, {control.max_intensity:g}]"
-            )
 
-        def u_of_t(t: float, _u: float = u_const) -> float:
-            return _u
+        def field(t: float, h: float, c: float) -> tuple[float, float]:
+            return rates(h, c, intensity(t))
+
+        return field
+
+    u = float(intensity)
+    if not (0.0 <= u <= control.max_intensity):
+        raise ConfigError(f"intensity {u:g} outside [0, {control.max_intensity:g}]")
 
     def field(t: float, h: float, c: float) -> tuple[float, float]:
-        u = u_of_t(t)
-        crowd = 1.0 - (h + c) / k
-        return (
-            rh * crowd * h - gamma * h * c - lam * u * h,
-            rc * crowd * c - mu * u * c,
-        )
+        return rates(h, c, u)
 
     return field
 
@@ -217,7 +259,7 @@ def rhs_coexistence(params: CompetitionParams, state: State) -> tuple[float, flo
 
 
 def rhs_competition(params: CompetitionParams, state: State) -> tuple[float, float]:
-    return competition_field(params)(0.0, state.healthy, state.cancer)
+    return equations_for(params)[0](state.healthy, state.cancer, 0.0)
 
 
 def rhs_controlled(

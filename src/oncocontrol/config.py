@@ -25,7 +25,6 @@ from .errors import ConfigError
 from .growth_models import GrowthParams
 from .lq_radiotherapy import FractionationPlan, LQParams, PiecewiseGrowthParams
 from .optimal_control import CostModel, OCPSetup
-from .outputs import canonical_json
 
 KINDS = (
     "growth",
@@ -100,22 +99,6 @@ class ScenarioConfig:
     seed: int
     output: OutputOptions
     parameters: dict
-
-    def normalized(self) -> dict:
-        return {
-            "kind": self.kind,
-            "seed": self.seed,
-            "output": {
-                "directory": str(self.output.directory),
-                "csv": self.output.csv,
-                "json": self.output.json,
-                "stride": self.output.stride,
-            },
-            "parameters": self.parameters,
-        }
-
-    def canonical(self) -> str:
-        return canonical_json(self.normalized())
 
 
 def parse_config(raw: dict) -> ScenarioConfig:

@@ -26,7 +26,10 @@ other:
                 finite differences).
 
 Both share the same rollout grid: n_intervals control intervals, each cut
-into `refine` RK4 substeps.
+into `refine` RK4 substeps.  The dynamics and their Jacobian come from the
+single definition in competition_dynamics.competition_equations; this
+module defines the running cost (_running_cost) and the pointwise control
+update (_clamped_minimiser) once each.
 """
 
 from __future__ import annotations
@@ -36,8 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .competition_dynamics import CompetitionParams, ControlParams, State, Trajectory
-from .errors import ConfigError
+from .competition_dynamics import (
+    CompetitionParams,
+    ControlParams,
+    State,
+    Trajectory,
+    equations_for,
+)
+from .errors import ConfigError, NumericalError
 
 SOLVER_INDIRECT = "indirect-FBSM"
 SOLVER_DIRECT = "direct-transcription"
@@ -145,6 +154,31 @@ class OCPSolution:
 # cost and optimality pointwise pieces
 # ---------------------------------------------------------------------------
 
+def _running_cost(h, c, u, k: float, model: CostModel):
+    """Running-cost density at states (h, c) and intensities u, elementwise."""
+    return (
+        ((h - k) / model.healthy_scale) ** 2
+        + (c / model.cancer_scale) ** 2
+        + model.control_weight * u**2
+    )
+
+
+def _clamped_minimiser(
+    adjoints: np.ndarray, states: np.ndarray, control: ControlParams, model: CostModel
+) -> np.ndarray:
+    """Minimiser of the Hamiltonian over [0, max_intensity] at each pair of
+    (healthy, cancer) rows of adjoints and states.
+
+    The Hamiltonian is quadratic in u with positive curvature, so the
+    minimiser is the clamped stationary point.
+    """
+    raw = (
+        adjoints[..., 0] * control.healthy_kill_coeff * states[..., 0]
+        + adjoints[..., 1] * control.cancer_kill_coeff * states[..., 1]
+    ) / (2.0 * model.control_weight)
+    return np.clip(raw, 0.0, control.max_intensity)
+
+
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     dt = np.diff(times)
     return float(np.sum(0.5 * dt * (values[1:] + values[:-1])))
@@ -186,11 +220,8 @@ def cost(
         u_nodes = controls
     else:
         u_nodes = controls_at_times(traj.times, controls)
-    k = dynamics.shared_capacity
-    dens = (
-        ((traj.healthy - k) / model.healthy_scale) ** 2
-        + (traj.cancer / model.cancer_scale) ** 2
-        + model.control_weight * u_nodes**2
+    dens = _running_cost(
+        traj.healthy, traj.cancer, u_nodes, dynamics.shared_capacity, model
     )
     return _trapezoid(dens, traj.times)
 
@@ -201,20 +232,12 @@ def hamiltonian_control(
     state,
     model: CostModel,
 ) -> float:
-    """Pointwise minimiser of the Hamiltonian over the intensity box.
-
-    The Hamiltonian is quadratic in u with positive curvature, so the
-    minimiser is the clamped stationary point.
-    """
+    """Pointwise minimiser of the Hamiltonian over the intensity box."""
     if isinstance(state, State):
-        h, c = state.healthy, state.cancer
-    else:
-        h, c = state
-    p_h, p_c = adjoint
-    raw = (
-        p_h * control.healthy_kill_coeff * h + p_c * control.cancer_kill_coeff * c
-    ) / (2.0 * model.control_weight)
-    return float(min(max(raw, 0.0), control.max_intensity))
+        state = state.as_tuple()
+    return float(
+        _clamped_minimiser(np.asarray(adjoint), np.asarray(state), control, model)
+    )
 
 
 def adjoint_rhs(
@@ -226,21 +249,10 @@ def adjoint_rhs(
     intensity: float,
 ) -> tuple[float, float]:
     """Time derivative of the adjoint pair along a state trajectory."""
-    if isinstance(state, State):
-        h, c = state.healthy, state.cancer
-    else:
-        h, c = state
+    h, c = (state.healthy, state.cancer) if isinstance(state, State) else state
     p_h, p_c = adjoint
-    rh, rc = dynamics.healthy_rate, dynamics.cancer_rate
     k = dynamics.shared_capacity
-    gamma = dynamics.competition_coeff
-    lam = control.healthy_kill_coeff
-    mu = control.cancer_kill_coeff
-    u = intensity
-    a00 = rh * (1.0 - (2.0 * h + c) / k) - gamma * c - lam * u
-    a01 = -h * (rh / k + gamma)
-    a10 = -rc * c / k
-    a11 = rc * (1.0 - (h + 2.0 * c) / k) - mu * u
+    a00, a01, a10, a11 = equations_for(dynamics, control)[1](h, c, intensity)
     dl_dh = 2.0 * (h - k) / model.healthy_scale**2
     dl_dc = 2.0 * c / model.cancer_scale**2
     return (
@@ -253,16 +265,14 @@ def adjoint_rhs(
 # rollouts on the fixed grid
 # ---------------------------------------------------------------------------
 
-def _unpack(setup: OCPSetup):
-    d, c = setup.dynamics, setup.control
-    return (
-        d.healthy_rate,
-        d.cancer_rate,
-        d.shared_capacity,
-        d.competition_coeff,
-        c.healthy_kill_coeff,
-        c.cancer_kill_coeff,
-    )
+def _require_finite(values: np.ndarray, what: str, setup: OCPSetup) -> None:
+    # explicit RK4 is only conditionally stable: a step too long for the
+    # fastest rate makes the rollout blow up instead of failing loudly
+    if not np.isfinite(values).all():
+        raise NumericalError(
+            f"{what} left the finite range: the RK4 step of {setup.step:g} days "
+            "is too long for these rates; raise n_intervals or refine"
+        )
 
 
 def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,20 +282,13 @@ def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, 
     value per interval and is held constant across each interval's
     substeps.
     """
-    rh, rc, k, gamma, lam, mu = _unpack(setup)
+    f, _ = equations_for(setup.dynamics, setup.control)
     refine = setup.refine
     n_steps = setup.n_intervals * refine
     h_step = setup.step
     states = np.empty((n_steps + 1, 2))
     hv, cv = setup.initial.healthy, setup.initial.cancer
     states[0] = (hv, cv)
-
-    def f(h: float, c: float, u: float) -> tuple[float, float]:
-        crowd = 1.0 - (h + c) / k
-        return (
-            rh * crowd * h - gamma * h * c - lam * u * h,
-            rc * crowd * c - mu * u * c,
-        )
 
     for j in range(n_steps):
         u = controls[j // refine]
@@ -297,6 +300,7 @@ def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, 
         cv += (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         states[j + 1] = (hv, cv)
 
+    _require_finite(states, "state rollout", setup)
     return setup.node_times(), states
 
 
@@ -311,7 +315,8 @@ def backward_rollout(
     forward solution.
     """
     assert setup.cost is not None
-    rh, rc, k, gamma, lam, mu = _unpack(setup)
+    _, jacobian = equations_for(setup.dynamics, setup.control)
+    k = setup.dynamics.shared_capacity
     sh2 = setup.cost.healthy_scale**2
     sc2 = setup.cost.cancer_scale**2
     refine = setup.refine
@@ -319,30 +324,34 @@ def backward_rollout(
     h_step = setup.step
     adjoints = np.zeros((n_steps + 1, 2))
 
-    def g(h: float, c: float, ph: float, pc: float, u: float) -> tuple[float, float]:
-        a00 = rh * (1.0 - (2.0 * h + c) / k) - gamma * c - lam * u
-        a01 = -h * (rh / k + gamma)
-        a10 = -rc * c / k
-        a11 = rc * (1.0 - (h + 2.0 * c) / k) - mu * u
-        return (
-            -(2.0 * (h - k) / sh2 + a00 * ph + a10 * pc),
-            -(2.0 * c / sc2 + a01 * ph + a11 * pc),
-        )
-
+    # each stage is p' = -(grad of the running cost + J^T p); the two
+    # midpoint stages share one state, hence one Jacobian
     ph, pc = 0.0, 0.0
     for j in range(n_steps - 1, -1, -1):
         u = controls[j // refine]
         h1, c1 = states[j + 1]
         h0, c0 = states[j]
         hm, cm = 0.5 * (h0 + h1), 0.5 * (c0 + c1)
-        k1h, k1c = g(h1, c1, ph, pc, u)
-        k2h, k2c = g(hm, cm, ph - 0.5 * h_step * k1h, pc - 0.5 * h_step * k1c, u)
-        k3h, k3c = g(hm, cm, ph - 0.5 * h_step * k2h, pc - 0.5 * h_step * k2c, u)
-        k4h, k4c = g(h0, c0, ph - h_step * k3h, pc - h_step * k3c, u)
+        a00, a01, a10, a11 = jacobian(h1, c1, u)
+        k1h = -(2.0 * (h1 - k) / sh2 + a00 * ph + a10 * pc)
+        k1c = -(2.0 * c1 / sc2 + a01 * ph + a11 * pc)
+        a00, a01, a10, a11 = jacobian(hm, cm, u)
+        lh, lc = 2.0 * (hm - k) / sh2, 2.0 * cm / sc2
+        qh, qc = ph - 0.5 * h_step * k1h, pc - 0.5 * h_step * k1c
+        k2h = -(lh + a00 * qh + a10 * qc)
+        k2c = -(lc + a01 * qh + a11 * qc)
+        qh, qc = ph - 0.5 * h_step * k2h, pc - 0.5 * h_step * k2c
+        k3h = -(lh + a00 * qh + a10 * qc)
+        k3c = -(lc + a01 * qh + a11 * qc)
+        a00, a01, a10, a11 = jacobian(h0, c0, u)
+        qh, qc = ph - h_step * k3h, pc - h_step * k3c
+        k4h = -(2.0 * (h0 - k) / sh2 + a00 * qh + a10 * qc)
+        k4c = -(2.0 * c0 / sc2 + a01 * qh + a11 * qc)
         ph -= (h_step / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
         pc -= (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         adjoints[j] = (ph, pc)
 
+    _require_finite(adjoints, "adjoint rollout", setup)
     return adjoints
 
 
@@ -353,14 +362,15 @@ def _node_controls(setup: OCPSetup, controls: np.ndarray) -> np.ndarray:
 
 def _quadrature_objective(setup: OCPSetup, states: np.ndarray, controls: np.ndarray) -> float:
     assert setup.cost is not None
-    model = setup.cost
-    k = setup.dynamics.shared_capacity
-    u_nodes = _node_controls(setup, controls)
-    dens = (
-        ((states[:, 0] - k) / model.healthy_scale) ** 2
-        + (states[:, 1] / model.cancer_scale) ** 2
-        + model.control_weight * u_nodes**2
+    dens = _running_cost(
+        states[:, 0],
+        states[:, 1],
+        _node_controls(setup, controls),
+        setup.dynamics.shared_capacity,
+        setup.cost,
     )
+    # uniform weights as a dot product, not _trapezoid: this sum order is
+    # what the reported objectives are made of
     w = np.full(len(dens), setup.step)
     w[0] = w[-1] = 0.5 * setup.step
     return float(np.dot(w, dens))
@@ -377,7 +387,10 @@ def objective_and_gradient(
     roundoff rather than to discretisation error.
     """
     assert setup.cost is not None
-    rh, rc, k, gamma, lam, mu = _unpack(setup)
+    f, jac = equations_for(setup.dynamics, setup.control)
+    k = setup.dynamics.shared_capacity
+    lam = setup.control.healthy_kill_coeff
+    mu = setup.control.cancer_kill_coeff
     model = setup.cost
     sh2 = model.healthy_scale**2
     sc2 = model.cancer_scale**2
@@ -385,13 +398,6 @@ def objective_and_gradient(
     n = setup.n_intervals
     n_steps = n * refine
     h_step = setup.step
-
-    def f(h: float, c: float, u: float) -> tuple[float, float]:
-        crowd = 1.0 - (h + c) / k
-        return (
-            rh * crowd * h - gamma * h * c - lam * u * h,
-            rc * crowd * c - mu * u * c,
-        )
 
     # forward pass, keeping every stage state for the reverse sweep
     s1 = np.empty((n_steps + 1, 2))
@@ -416,6 +422,7 @@ def objective_and_gradient(
         cv += (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
         s1[j + 1] = (hv, cv)
 
+    _require_finite(s1, "state rollout", setup)
     objective = _quadrature_objective(setup, s1, controls)
 
     grad = np.zeros(n)
@@ -425,14 +432,6 @@ def objective_and_gradient(
     w_quad[0] = w_quad[-1] = 0.5 * h_step
     node_interval = np.minimum(np.arange(n_steps + 1) // refine, n - 1)
     np.add.at(grad, node_interval, w_quad * 2.0 * model.control_weight * u_nodes)
-
-    def jac(h: float, c: float, u: float) -> tuple[float, float, float, float]:
-        return (
-            rh * (1.0 - (2.0 * h + c) / k) - gamma * c - lam * u,
-            -h * (rh / k + gamma),
-            -rc * c / k,
-            rc * (1.0 - (h + 2.0 * c) / k) - mu * u,
-        )
 
     # reverse sweep; w accumulates d(objective)/d(node state)
     hN, cN = s1[n_steps]
@@ -507,10 +506,6 @@ def solve_fbsm(
     assert setup.cost is not None
     if not (0.0 < relaxation <= 1.0):
         raise ConfigError("relaxation must lie in (0, 1]")
-    lam = setup.control.healthy_kill_coeff
-    mu = setup.control.cancer_kill_coeff
-    u_max = setup.control.max_intensity
-    two_w = 2.0 * setup.cost.control_weight
     refine = setup.refine
     mids = np.arange(setup.n_intervals) * refine + refine // 2
 
@@ -525,11 +520,9 @@ def solve_fbsm(
     for iterations in range(1, max_iter + 1):
         _, states = forward_rollout(setup, u)
         adjoints = backward_rollout(setup, states, u)
-        sigma = (
-            adjoints[mids, 0] * lam * states[mids, 0]
-            + adjoints[mids, 1] * mu * states[mids, 1]
-        ) / two_w
-        proposal = np.clip(sigma, 0.0, u_max)
+        proposal = _clamped_minimiser(
+            adjoints[mids], states[mids], setup.control, setup.cost
+        )
         u_new = (1.0 - relax) * u + relax * proposal
         delta = float(np.max(np.abs(u_new - u)))
         u = u_new
@@ -579,9 +572,10 @@ def solve_direct(
     def fun(x: np.ndarray) -> tuple[float, np.ndarray]:
         return objective_and_gradient(setup, x)
 
-    def record(xk: np.ndarray) -> None:
-        _, states = forward_rollout(setup, xk)
-        history.append(_quadrature_objective(setup, states, xk))
+    def record(intermediate_result) -> None:
+        # scipy hands a parameter of this name the accepted iterate's
+        # OptimizeResult, whose fun is the objective already evaluated there
+        history.append(intermediate_result.fun)
 
     result = minimize(
         fun,
@@ -623,16 +617,10 @@ def pontryagin_residual(setup: OCPSetup, solution: OCPSolution) -> float:
         raise ConfigError("solution carries no adjoints")
     refine = setup.refine
     mids = np.arange(setup.n_intervals) * refine + refine // 2
-    worst = 0.0
-    for i, m in enumerate(mids):
-        u_star = hamiltonian_control(
-            (solution.adjoints[m, 0], solution.adjoints[m, 1]),
-            setup.control,
-            (solution.states[m, 0], solution.states[m, 1]),
-            setup.cost,
-        )
-        worst = max(worst, abs(u_star - solution.control[i]))
-    return worst
+    u_star = _clamped_minimiser(
+        solution.adjoints[mids], solution.states[mids], setup.control, setup.cost
+    )
+    return float(np.max(np.abs(u_star - solution.control)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,20 @@ def format_value(value) -> str:
     return str(value)
 
 
+def _umask() -> int:
+    # the umask can only be read by setting it; put it straight back
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
+        # mkstemp creates the file 0600 and os.replace keeps that mode; give
+        # it the mode a plain open() would have
+        os.fchmod(fd, 0o666 & ~_umask())
         with os.fdopen(fd, "w", newline="") as handle:
             handle.write(text)
         os.replace(tmp_name, path)
@@ -81,7 +91,3 @@ def _jsonable(obj):
 def write_json(path: Path, payload) -> None:
     text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
     _atomic_write_text(path, text + "\n")
-
-
-def canonical_json(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)

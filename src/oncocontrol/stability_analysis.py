@@ -11,6 +11,9 @@ boundary point with the full niche occupied always has one), so linear
 analysis is silent about them.  For those points a separate simulation
 probe perturbs the state into the open quadrant, integrates for a long
 horizon and reports whether the flow escapes, returns, or stalls.
+
+The competition and therapy Jacobians come from the single definition of
+the system, competition_dynamics.competition_equations.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .competition_dynamics import (
     coexistence_field,
     competition_field,
     controlled_field,
+    equations_for,
     integrate,
 )
 from .errors import ConfigError
@@ -111,16 +115,7 @@ def jacobian_coexistence(params: CompetitionParams, state) -> np.ndarray:
 
 
 def jacobian_competition(params: CompetitionParams, state) -> np.ndarray:
-    h, c = _coords(state)
-    rh, rc = params.healthy_rate, params.cancer_rate
-    k = params.shared_capacity
-    gamma = params.competition_coeff
-    return np.array(
-        [
-            [rh * (1.0 - (2.0 * h + c) / k) - gamma * c, -h * (rh / k + gamma)],
-            [-rc * c / k, rc * (1.0 - (h + 2.0 * c) / k)],
-        ]
-    )
+    return np.reshape(equations_for(params)[1](*_coords(state), 0.0), (2, 2))
 
 
 def jacobian_controlled(
@@ -130,10 +125,8 @@ def jacobian_controlled(
     intensity: float,
 ) -> np.ndarray:
     """Jacobian of the therapy system at fixed intensity u."""
-    jac = jacobian_competition(params, state)
-    jac[0, 0] -= control.healthy_kill_coeff * intensity
-    jac[1, 1] -= control.cancer_kill_coeff * intensity
-    return jac
+    jacobian = equations_for(params, control)[1]
+    return np.reshape(jacobian(*_coords(state), intensity), (2, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Therapy scheduling: cost, optimality pieces, and the two solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -251,6 +253,26 @@ def test_solvers_agree(fbsm_solution, direct_solution):
 
 def test_pontryagin_residual_small(fbsm_solution, main_setup):
     assert pontryagin_residual(main_setup, fbsm_solution) < 1e-4
+
+
+def test_pontryagin_residual_matches_scalar_reference(fbsm_solution, main_setup):
+    # the scalar minimiser at every interval midpoint is the reference; a
+    # perturbed schedule keeps the residual well away from zero
+    refine = main_setup.refine
+    mids = np.arange(main_setup.n_intervals) * refine + refine // 2
+    wobble = 0.3 * np.sin(np.arange(main_setup.n_intervals))
+    for control in (fbsm_solution.control, np.clip(fbsm_solution.control + wobble, 0.0, 1.0)):
+        sol = dataclasses.replace(fbsm_solution, control=control)
+        expected = max(
+            abs(
+                hamiltonian_control(
+                    tuple(sol.adjoints[m]), CTL, tuple(sol.states[m]), main_setup.cost
+                )
+                - sol.control[i]
+            )
+            for i, m in enumerate(mids)
+        )
+        assert pontryagin_residual(main_setup, sol) == expected
 
 
 def test_objective_survives_resimulation(direct_solution):

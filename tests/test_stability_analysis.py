@@ -82,12 +82,22 @@ def test_classify_branches():
 
 
 def test_jacobians_match_finite_differences():
-    p = shared_params(healthy_capacity=6e5, cancer_capacity=8e5)
-    ctl = therapy_params()
     rng = np.random.default_rng(17)
-    delta = 1.0
     for _ in range(20):
-        h, c = rng.uniform(1e3, 7e5, 2)
+        # every case draws its own admissible parameter set
+        k = rng.uniform(1e5, 1e7)
+        p = CompetitionParams(
+            healthy_rate=rng.uniform(0.05, 5.0),
+            cancer_rate=rng.uniform(0.05, 5.0),
+            shared_capacity=k,
+            healthy_capacity=rng.uniform(0.5, 1.5) * k,
+            cancer_capacity=rng.uniform(0.5, 1.5) * k,
+            competition_coeff=rng.uniform(0.0, 1.0) / k,
+        )
+        lam, mu = np.sort(rng.uniform(0.0, 1.0, 2))
+        ctl = ControlParams(healthy_kill_coeff=lam, cancer_kill_coeff=mu)
+        delta = 1e-6 * k
+        h, c = rng.uniform(1e-3, 1.0, 2) * k
         u = rng.uniform(0.0, 1.0)
         cases = [
             (jacobian_coexistence(p, (h, c)), coexistence_field(p)),
