@@ -9,10 +9,7 @@ file and writes its results into an output directory.  Exit codes:
   3  a solver finished without converging; outputs are still written
 
 Runs are deterministic: identical configs produce byte-identical output
-files.  The environment variable ONCO_CONTROL_THREADS sets the worker
-count for scenario kinds that integrate many independent initial
-conditions (dose-report, phase-portrait); results are assembled in input
-order, so the thread count never changes the output, only the wall time.
+files.
 """
 
 from __future__ import annotations
@@ -20,9 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -66,36 +61,11 @@ from .stability_analysis import (
     equilibria_uncontrolled,
 )
 
-THREADS_ENV = "ONCO_CONTROL_THREADS"
-
-
 @dataclass
 class ScenarioResult:
     exit_code: int
     files: list[Path]
     summary: str
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return 1
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return count
-
-
-def _parallel_map(fn, items: list):
-    """Map preserving input order, threaded when configured."""
-    workers = _thread_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _stride_indices(length: int, stride: int) -> list[int]:
@@ -488,10 +458,10 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
     if labels is None:
         labels = [f"scenario_{i + 1}" for i in range(len(initials))]
 
-    def solve_one(initial) -> OCPSolution:
-        return _solve_for(dataclasses.replace(base, initial=initial), p["solver"], p)
-
-    solutions = _parallel_map(solve_one, initials)
+    solutions = [
+        _solve_for(dataclasses.replace(base, initial=initial), p["solver"], p)
+        for initial in initials
+    ]
     rows = dose_report(solutions, labels, p.get("constant_intensity"))
 
     totals: dict = {}
@@ -539,21 +509,18 @@ def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
     h_values = np.linspace(axis["healthy"]["min"], axis["healthy"]["max"], axis["healthy"]["count"])
     c_values = np.linspace(axis["cancer"]["min"], axis["cancer"]["max"], axis["cancer"]["count"])
     times = np.linspace(0.0, p["t_end"], p["samples"])
-    starts = [
-        (float(h0), float(c0)) for h0 in h_values for c0 in c_values
-    ]
-
-    def run_one(start):
-        return integrate(
+    trajectories = [
+        integrate(
             field,
-            State(start[0], start[1]),
+            State(float(h0), float(c0)),
             (0.0, p["t_end"]),
             rtol=p["rtol"],
             atol=p["atol"],
             t_eval=times,
         )
-
-    trajectories = _parallel_map(run_one, starts)
+        for h0 in h_values
+        for c0 in c_values
+    ]
 
     rows = (
         (tid, *row)
@@ -572,21 +539,25 @@ def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
 
-_RUNNERS = {
-    "growth": _run_growth,
-    "fractionated": _run_fractionated,
-    "competition": _run_competition,
-    "equilibria": _run_equilibria,
-    "constant-control": _run_constant_control,
-    "ocp": _run_ocp,
-    "dose-report": _run_dose_report,
-    "phase-portrait": _run_phase_portrait,
+# kind -> (runner, subcommand help)
+_KINDS = {
+    "growth": (_run_growth, "closed-form growth laws"),
+    "fractionated": (_run_fractionated, "fractionated radiotherapy course"),
+    "competition": (_run_competition, "healthy/cancer dynamics integration"),
+    "equilibria": (_run_equilibria, "equilibria of the untreated dynamics"),
+    "constant-control": (
+        _run_constant_control,
+        "equilibria under constant therapy intensity",
+    ),
+    "ocp": (_run_ocp, "optimal therapy scheduling"),
+    "dose-report": (_run_dose_report, "dose tables for solved schedules"),
+    "phase-portrait": (_run_phase_portrait, "trajectory bundle over a grid of starts"),
 }
 
 
 def run_scenario(cfg: ScenarioConfig) -> ScenarioResult:
     try:
-        runner = _RUNNERS[cfg.kind]
+        runner, _ = _KINDS[cfg.kind]
     except KeyError as exc:
         raise ConfigError(f"unknown scenario kind {cfg.kind!r}") from exc
     return runner(cfg)
@@ -598,17 +569,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Tumour growth, radiotherapy and treatment scheduling models.",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    descriptions = {
-        "growth": "closed-form growth laws",
-        "fractionated": "fractionated radiotherapy course",
-        "competition": "healthy/cancer dynamics integration",
-        "equilibria": "equilibria of the untreated dynamics",
-        "constant-control": "equilibria under constant therapy intensity",
-        "ocp": "optimal therapy scheduling",
-        "dose-report": "dose tables for solved schedules",
-        "phase-portrait": "trajectory bundle over a grid of starts",
-    }
-    for kind, desc in descriptions.items():
+    for kind, (_, desc) in _KINDS.items():
         sp = sub.add_parser(kind, help=desc)
         sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", help="output directory (overrides config)")

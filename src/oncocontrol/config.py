@@ -26,18 +26,6 @@ from .growth_models import GrowthParams
 from .lq_radiotherapy import FractionationPlan, LQParams, PiecewiseGrowthParams
 from .optimal_control import CostModel, OCPSetup
 
-KINDS = (
-    "growth",
-    "fractionated",
-    "competition",
-    "equilibria",
-    "constant-control",
-    "ocp",
-    "dose-report",
-    "phase-portrait",
-)
-
-
 @lru_cache(maxsize=1)
 def _schema() -> dict:
     text = resources.files("oncocontrol").joinpath("schema.json").read_text()

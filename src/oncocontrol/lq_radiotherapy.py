@@ -281,7 +281,12 @@ def simulate_fractionated(
             healthy_path.append(h_cur)
             cancer_path.append(c_cur)
             regimes.append(regime_of(h_cur, c_cur))
-            session_flags.append(session_start_at(t_new) is not None)
+            # no session edge lies inside a segment, so only its last node,
+            # the next edge, can fall in a different session
+            if j < n_steps - 1:
+                session_flags.append(seg_session is not None)
+            else:
+                session_flags.append(session_start_at(t_new) is not None)
 
     states = np.column_stack(
         (np.asarray(healthy_path), np.asarray(cancer_path))

@@ -355,9 +355,17 @@ def backward_rollout(
     return adjoints
 
 
-def _node_controls(setup: OCPSetup, controls: np.ndarray) -> np.ndarray:
-    idx = np.minimum(np.arange(setup.n_nodes) // setup.refine, setup.n_intervals - 1)
-    return np.asarray(controls)[idx]
+def _node_intervals(setup: OCPSetup) -> np.ndarray:
+    """Index of the control interval each rollout node belongs to; the
+    final node takes the last interval."""
+    return np.minimum(np.arange(setup.n_nodes) // setup.refine, setup.n_intervals - 1)
+
+
+def _quadrature_weights(setup: OCPSetup) -> np.ndarray:
+    """Uniform composite-trapezoid weights on the rollout nodes."""
+    w = np.full(setup.n_nodes, setup.step)
+    w[0] = w[-1] = 0.5 * setup.step
+    return w
 
 
 def _quadrature_objective(setup: OCPSetup, states: np.ndarray, controls: np.ndarray) -> float:
@@ -365,15 +373,13 @@ def _quadrature_objective(setup: OCPSetup, states: np.ndarray, controls: np.ndar
     dens = _running_cost(
         states[:, 0],
         states[:, 1],
-        _node_controls(setup, controls),
+        np.asarray(controls)[_node_intervals(setup)],
         setup.dynamics.shared_capacity,
         setup.cost,
     )
     # uniform weights as a dot product, not _trapezoid: this sum order is
     # what the reported objectives are made of
-    w = np.full(len(dens), setup.step)
-    w[0] = w[-1] = 0.5 * setup.step
-    return float(np.dot(w, dens))
+    return float(np.dot(_quadrature_weights(setup), dens))
 
 
 def objective_and_gradient(
@@ -384,7 +390,9 @@ def objective_and_gradient(
     The gradient is the discrete adjoint of the rollout itself: the
     reverse sweep walks back through the four RK4 stages of every step,
     so it matches finite differences of the transcribed objective to
-    roundoff rather than to discretisation error.
+    roundoff rather than to discretisation error.  Only the node states
+    of forward_rollout are kept; each step's stage states are recomputed
+    from its start node during the sweep, with the rollout's arithmetic.
     """
     assert setup.cost is not None
     f, jac = equations_for(setup.dynamics, setup.control)
@@ -395,43 +403,21 @@ def objective_and_gradient(
     sh2 = model.healthy_scale**2
     sc2 = model.cancer_scale**2
     refine = setup.refine
-    n = setup.n_intervals
-    n_steps = n * refine
+    n_steps = setup.n_intervals * refine
     h_step = setup.step
 
-    # forward pass, keeping every stage state for the reverse sweep
-    s1 = np.empty((n_steps + 1, 2))
-    s2 = np.empty((n_steps, 2))
-    s3 = np.empty((n_steps, 2))
-    s4 = np.empty((n_steps, 2))
-    hv, cv = setup.initial.healthy, setup.initial.cancer
-    s1[0] = (hv, cv)
-    for j in range(n_steps):
-        u = controls[j // refine]
-        k1h, k1c = f(hv, cv, u)
-        h2, c2 = hv + 0.5 * h_step * k1h, cv + 0.5 * h_step * k1c
-        k2h, k2c = f(h2, c2, u)
-        h3, c3 = hv + 0.5 * h_step * k2h, cv + 0.5 * h_step * k2c
-        k3h, k3c = f(h3, c3, u)
-        h4, c4 = hv + h_step * k3h, cv + h_step * k3c
-        k4h, k4c = f(h4, c4, u)
-        s2[j] = (h2, c2)
-        s3[j] = (h3, c3)
-        s4[j] = (h4, c4)
-        hv += (h_step / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
-        cv += (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        s1[j + 1] = (hv, cv)
-
-    _require_finite(s1, "state rollout", setup)
+    _, s1 = forward_rollout(setup, controls)
     objective = _quadrature_objective(setup, s1, controls)
 
-    grad = np.zeros(n)
+    grad = np.zeros(setup.n_intervals)
     # direct dependence of the quadrature on u
-    u_nodes = _node_controls(setup, controls)
-    w_quad = np.full(n_steps + 1, h_step)
-    w_quad[0] = w_quad[-1] = 0.5 * h_step
-    node_interval = np.minimum(np.arange(n_steps + 1) // refine, n - 1)
-    np.add.at(grad, node_interval, w_quad * 2.0 * model.control_weight * u_nodes)
+    node_interval = _node_intervals(setup)
+    np.add.at(
+        grad,
+        node_interval,
+        _quadrature_weights(setup) * 2.0 * model.control_weight
+        * np.asarray(controls)[node_interval],
+    )
 
     # reverse sweep; w accumulates d(objective)/d(node state)
     hN, cN = s1[n_steps]
@@ -441,9 +427,12 @@ def objective_and_gradient(
         i = j // refine
         u = controls[i]
         h1, c1 = s1[j]
-        h2, c2 = s2[j]
-        h3, c3 = s3[j]
-        h4, c4 = s4[j]
+        k1h, k1c = f(h1, c1, u)
+        h2, c2 = h1 + 0.5 * h_step * k1h, c1 + 0.5 * h_step * k1c
+        k2h, k2c = f(h2, c2, u)
+        h3, c3 = h1 + 0.5 * h_step * k2h, c1 + 0.5 * h_step * k2c
+        k3h, k3c = f(h3, c3, u)
+        h4, c4 = h1 + h_step * k3h, c1 + h_step * k3c
 
         kb4h, kb4c = (h_step / 6.0) * wh, (h_step / 6.0) * wc
         a00, a01, a10, a11 = jac(h4, c4, u)

@@ -10,6 +10,7 @@ byte-identical across platforms.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -56,8 +57,6 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    import io
-
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -67,8 +66,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
 
 
 def _jsonable(obj):
-    import numpy as np
-
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -68,6 +68,10 @@ def _coords(state) -> tuple[float, float]:
     return float(h), float(c)
 
 
+def _ordered(pair) -> tuple[complex, complex]:
+    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
+
+
 def eig2(matrix) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 matrix from trace and determinant.
 
@@ -80,8 +84,7 @@ def eig2(matrix) -> tuple[complex, complex]:
     tr = m[0, 0] + m[1, 1]
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     disc = cmath.sqrt(tr * tr - 4.0 * det)
-    pair = (0.5 * (tr - disc), 0.5 * (tr + disc))
-    return tuple(sorted(pair, key=lambda z: (z.real, z.imag)))
+    return _ordered((0.5 * (tr - disc), 0.5 * (tr + disc)))
 
 
 def classify(eigenvalues: tuple[complex, complex], zero_tol: float = 0.0) -> str:
@@ -167,32 +170,32 @@ def _nonlinear_verdict(
 # equilibrium enumeration
 # ---------------------------------------------------------------------------
 
-def _report(
-    label: str,
-    point: tuple[float, float],
-    eigenvalues: tuple[complex, complex],
-    conditions: dict[str, bool],
-    dyn_field=None,
-    scale: float = 1.0,
-    probe: bool = True,
-) -> EquilibriumReport:
-    feasible = point[0] >= 0.0 and point[1] >= 0.0
-    if not feasible:
-        classification = CLASS_INFEASIBLE
-    else:
-        classification = classify(eigenvalues)
-    verdict = None
-    if probe and classification == CLASS_NONHYPERBOLIC and dyn_field is not None:
-        verdict = _nonlinear_verdict(dyn_field, point, scale)
-    return EquilibriumReport(
-        label=label,
-        point=point,
-        eigenvalues=eigenvalues,
-        classification=classification,
-        conditions=conditions,
-        feasible=feasible,
-        nonlinear_verdict=verdict,
-    )
+def _reporter(dyn_field, scale: float, probe: bool):
+    """Report builder for one system: classifies each point, orders its
+    eigenvalues as eig2 does, and probes non-hyperbolic points when asked."""
+
+    def report(
+        label: str,
+        point: tuple[float, float],
+        eigenvalues: tuple[complex, complex],
+        conditions: dict[str, bool],
+    ) -> EquilibriumReport:
+        feasible = point[0] >= 0.0 and point[1] >= 0.0
+        classification = classify(eigenvalues) if feasible else CLASS_INFEASIBLE
+        verdict = None
+        if probe and classification == CLASS_NONHYPERBOLIC:
+            verdict = _nonlinear_verdict(dyn_field, point, scale)
+        return EquilibriumReport(
+            label=label,
+            point=point,
+            eigenvalues=_ordered(eigenvalues),
+            classification=classification,
+            conditions=conditions,
+            feasible=feasible,
+            nonlinear_verdict=verdict,
+        )
+
+    return report
 
 
 def equilibria_uncontrolled(
@@ -211,79 +214,35 @@ def equilibria_uncontrolled(
     if competitive:
         k = params.shared_capacity
         gamma = params.competition_coeff
-        dyn = competition_field(params)
+        report = _reporter(competition_field(params), k, probe_nonhyperbolic)
         return [
-            _report(
-                "extinction",
-                (0.0, 0.0),
-                (complex(rc), complex(rh)) if rc < rh else (complex(rh), complex(rc)),
-                {},
-                dyn,
-                k,
-                probe_nonhyperbolic,
-            ),
-            _report(
-                "healthy_only",
-                (k, 0.0),
-                (complex(-rh), complex(0.0)),
-                {},
-                dyn,
-                k,
-                probe_nonhyperbolic,
-            ),
-            _report(
+            report("extinction", (0.0, 0.0), (complex(rc), complex(rh)), {}),
+            report("healthy_only", (k, 0.0), (complex(-rh), complex(0.0)), {}),
+            report(
                 "cancer_only",
                 (0.0, k),
-                tuple(sorted((complex(-gamma * k), complex(-rc)), key=lambda z: z.real)),
+                (complex(-gamma * k), complex(-rc)),
                 {"competition_coeff > 0": gamma > 0.0},
-                dyn,
-                k,
-                probe_nonhyperbolic,
             ),
         ]
 
     if params.healthy_capacity is None or params.cancer_capacity is None:
         raise ConfigError("coexistence analysis needs healthy_capacity and cancer_capacity")
     kh, kc = params.healthy_capacity, params.cancer_capacity
-    dyn = coexistence_field(params)
-    scale = max(kh, kc)
+    report = _reporter(coexistence_field(params), max(kh, kc), probe_nonhyperbolic)
     return [
-        _report(
-            "extinction",
-            (0.0, 0.0),
-            (complex(rc), complex(rh)) if rc < rh else (complex(rh), complex(rc)),
-            {},
-            dyn,
-            scale,
-            probe_nonhyperbolic,
-        ),
-        _report(
+        report("extinction", (0.0, 0.0), (complex(rc), complex(rh)), {}),
+        report(
             "healthy_only",
             (kh, 0.0),
-            tuple(
-                sorted(
-                    (complex(-rh), complex(rc * (1.0 - kh / kc))),
-                    key=lambda z: z.real,
-                )
-            ),
+            (complex(-rh), complex(rc * (1.0 - kh / kc))),
             {"healthy_capacity > cancer_capacity": kh > kc},
-            dyn,
-            scale,
-            probe_nonhyperbolic,
         ),
-        _report(
+        report(
             "cancer_only",
             (0.0, kc),
-            tuple(
-                sorted(
-                    (complex(-rc), complex(rh * (1.0 - kc / kh))),
-                    key=lambda z: z.real,
-                )
-            ),
+            (complex(-rc), complex(rh * (1.0 - kc / kh))),
             {"cancer_capacity > healthy_capacity": kc > kh},
-            dyn,
-            scale,
-            probe_nonhyperbolic,
         ),
     ]
 
@@ -310,68 +269,36 @@ def equilibria_constant_control(
     lam = control.healthy_kill_coeff
     mu = control.cancer_kill_coeff
     u = float(intensity)
-    dyn = controlled_field(params, control, u)
+    report = _reporter(controlled_field(params, control, u), k, probe_nonhyperbolic)
 
-    reports: list[EquilibriumReport] = []
-
-    reports.append(
-        _report(
+    reports = [
+        report(
             "extinction",
             (0.0, 0.0),
-            tuple(sorted((complex(rh - lam * u), complex(rc - mu * u)), key=lambda z: z.real)),
+            (complex(rh - lam * u), complex(rc - mu * u)),
             {
                 "healthy_kill_coeff * u > healthy_rate": lam * u > rh,
                 "cancer_kill_coeff * u > cancer_rate": mu * u > rc,
             },
-            dyn,
-            k,
-            probe_nonhyperbolic,
-        )
-    )
-
-    # healthy population saturating at reduced capacity, no tumour
-    h_star = k * (1.0 - lam * u / rh)
-    reports.append(
-        _report(
+        ),
+        # healthy population saturating at reduced capacity, no tumour
+        report(
             "healthy_only",
-            (h_star, 0.0),
-            tuple(
-                sorted(
-                    (
-                        complex(lam * u - rh),
-                        complex(u * (lam * rc - mu * rh) / rh),
-                    ),
-                    key=lambda z: z.real,
-                )
-            ),
+            (k * (1.0 - lam * u / rh), 0.0),
+            (complex(lam * u - rh), complex(u * (lam * rc - mu * rh) / rh)),
             {
                 "healthy_kill_coeff * u < healthy_rate": lam * u < rh,
                 "cancer_rate * healthy_kill_coeff < healthy_rate * cancer_kill_coeff":
                     rc * lam < rh * mu,
             },
-            dyn,
-            k,
-            probe_nonhyperbolic,
-        )
-    )
-
-    # tumour saturating at reduced capacity, healthy tissue gone
-    c_star = k * (1.0 - mu * u / rc)
-    reports.append(
-        _report(
+        ),
+        # tumour saturating at reduced capacity, healthy tissue gone
+        report(
             "cancer_only",
-            (0.0, c_star),
-            tuple(
-                sorted(
-                    (
-                        complex(
-                            u * (mu * rh - lam * rc) / rc
-                            - gamma * k * (1.0 - mu * u / rc)
-                        ),
-                        complex(mu * u - rc),
-                    ),
-                    key=lambda z: z.real,
-                )
+            (0.0, k * (1.0 - mu * u / rc)),
+            (
+                complex(u * (mu * rh - lam * rc) / rc - gamma * k * (1.0 - mu * u / rc)),
+                complex(mu * u - rc),
             ),
             {
                 "cancer_kill_coeff * u < cancer_rate": mu * u < rc,
@@ -379,29 +306,22 @@ def equilibria_constant_control(
                 " > u * (cancer_kill_coeff * healthy_rate - healthy_kill_coeff * cancer_rate)":
                     gamma * k * (rc - mu * u) > u * (mu * rh - lam * rc),
             },
-            dyn,
-            k,
-            probe_nonhyperbolic,
-        )
-    )
+        ),
+    ]
 
     if gamma > 0.0:
         c_int = u * (mu * rh - lam * rc) / (gamma * rc)
         h_int = k * (1.0 - mu * u / rc) - c_int
         point = (h_int, c_int)
-        eigs = eig2(jacobian_controlled(params, control, point, u))
         reports.append(
-            _report(
+            report(
                 "interior",
                 point,
-                eigs,
+                eig2(jacobian_controlled(params, control, point, u)),
                 {
                     "interior_healthy >= 0": h_int >= 0.0,
                     "interior_cancer >= 0": c_int >= 0.0,
                 },
-                dyn,
-                k,
-                probe_nonhyperbolic,
             )
         )
 

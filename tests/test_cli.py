@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from oncocontrol.cli import THREADS_ENV, main
+from oncocontrol.cli import main
 
 DYNAMICS = {
     "healthy_rate": 3.0,
@@ -340,24 +340,14 @@ def test_dose_report_run(tmp_path):
         assert 0.0 <= optimal <= 5.0
 
 
-def test_dose_report_threads_do_not_change_bytes(tmp_path, monkeypatch):
-    out_serial = tmp_path / "serial"
-    out_threaded = tmp_path / "threaded"
-    cfg_a = write_config(tmp_path, dose_report_payload(out_serial), "a.json")
-    cfg_b = write_config(tmp_path, dose_report_payload(out_threaded), "b.json")
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+def test_dose_report_reruns_are_byte_identical(tmp_path):
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    cfg_a = write_config(tmp_path, dose_report_payload(out_a), "a.json")
+    cfg_b = write_config(tmp_path, dose_report_payload(out_b), "b.json")
     assert main(["dose-report", "--config", str(cfg_a)]) == 0
-    monkeypatch.setenv(THREADS_ENV, "3")
     assert main(["dose-report", "--config", str(cfg_b)]) == 0
     for name in ("dose_report.csv", "dose_report.json"):
-        assert (out_serial / name).read_bytes() == (out_threaded / name).read_bytes()
-
-
-def test_bad_thread_count_exits_one(tmp_path, monkeypatch, capsys):
-    cfg = write_config(tmp_path, dose_report_payload(tmp_path / "out"))
-    monkeypatch.setenv(THREADS_ENV, "many")
-    assert main(["dose-report", "--config", str(cfg)]) == 1
-    assert THREADS_ENV in capsys.readouterr().err
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
 def test_phase_portrait_run(tmp_path):

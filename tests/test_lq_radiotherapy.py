@@ -164,6 +164,30 @@ def test_session_boundaries_land_on_grid():
     assert all(b < a for a, b in zip(c_inside, c_inside[1:]))
 
 
+def test_in_session_flags_follow_the_half_open_sessions():
+    # a node is flagged exactly when it lies in some [start, start + duration),
+    # up to the 1e-9 day that lets session edges land on the grid
+    rng = np.random.default_rng(41)
+    for _ in range(12):
+        duration = rng.uniform(0.05, 1.0)
+        gaps = rng.uniform(duration, 5.0, rng.integers(1, 40))
+        # the first session may start before day 0 or run past t_end
+        starts = rng.uniform(-0.5 * duration, 5.0) + np.cumsum(gaps) - gaps[0]
+        plan = FractionationPlan(
+            session_starts=tuple(starts.tolist()),
+            session_duration=duration,
+            session_dose=2.0,
+        )
+        t_end = starts[-1] + rng.choice([0.5 * duration, duration, 10.0])
+        traj = simulate_fractionated(
+            course_growth(), CANCER_LQ, HEALTHY_LQ, plan,
+            t_end=t_end, dt=rng.uniform(0.01, duration),
+        )
+        t = traj.times[:, None]
+        expected = ((t >= starts - 1e-9) & (t < starts + duration - 1e-9)).any(axis=1)
+        assert np.array_equal(traj.in_session, expected)
+
+
 def test_competition_regime_fills_the_niche():
     growth = course_growth(initial_cancer=5e8, initial_healthy=4.9e8)
     plan = FractionationPlan(

@@ -128,6 +128,19 @@ def test_adjoint_matrix_is_jacobian_transpose():
         assert np.abs(m - jac.T).max() <= 1e-12 * scale
 
 
+def _central_differences(setup, u, eps=3e-4):
+    fd = np.empty(len(u))
+    for i in range(len(u)):
+        up, um = u.copy(), u.copy()
+        up[i] += eps
+        um[i] -= eps
+        fd[i] = (
+            objective_and_gradient(setup, up)[0]
+            - objective_and_gradient(setup, um)[0]
+        ) / (2.0 * eps)
+    return fd
+
+
 def test_gradient_matches_finite_differences_on_a_short_horizon():
     setup = OCPSetup(
         dynamics=DYN, control=CTL, initial=NOMINAL,
@@ -136,16 +149,32 @@ def test_gradient_matches_finite_differences_on_a_short_horizon():
     rng = np.random.default_rng(21)
     u = rng.uniform(0.0, 1.0, 8)
     _, grad = objective_and_gradient(setup, u)
-    for i in range(8):
-        eps = 3e-4
-        up, um = u.copy(), u.copy()
-        up[i] += eps
-        um[i] -= eps
-        fd = (
-            objective_and_gradient(setup, up)[0]
-            - objective_and_gradient(setup, um)[0]
-        ) / (2.0 * eps)
-        assert abs(fd - grad[i]) / max(abs(fd), 1e-12) < 1e-6
+    fd = _central_differences(setup, u)
+    assert np.all(np.abs(fd - grad) / np.maximum(np.abs(fd), 1e-12) < 1e-6)
+
+    for _ in range(20):
+        # every case draws its own admissible parameters and start
+        k = rng.uniform(1e5, 1e7)
+        dyn = CompetitionParams(
+            healthy_rate=rng.uniform(0.1, 3.0),
+            cancer_rate=rng.uniform(0.05, 3.0),
+            shared_capacity=k,
+            competition_coeff=rng.uniform(0.0, 1.0) / k,
+        )
+        lam, mu = np.sort(rng.uniform(0.0, 1.0, 2))
+        h0 = rng.uniform(0.05, 1.0) * k
+        setup = OCPSetup(
+            dynamics=dyn,
+            control=ControlParams(healthy_kill_coeff=lam, cancer_kill_coeff=mu),
+            initial=State(h0, rng.uniform(0.0, 1.0) * (k - h0)),
+            horizon=20.0, n_intervals=8, refine=4,
+        )
+        u = rng.uniform(0.0, 1.0, 8)
+        _, grad = objective_and_gradient(setup, u)
+        fd = _central_differences(setup, u)
+        # relative to the largest component: the differences of a small
+        # component are swamped by the roundoff of the whole objective
+        assert np.abs(fd - grad).max() / np.abs(fd).max() < 1e-6
 
 
 def test_objective_agrees_with_cost_on_the_rollout():
