@@ -137,10 +137,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # right-hand sides
 #
-# The *_field factories return plain float closures f(t, h, c) -> (dh, dc).
-# integrate wraps each evaluation in a 2-vector, and solve_ode does its
-# stage arithmetic in numpy.  The rhs_* wrappers are the one-shot variants
-# for callers holding State objects.
+# The *_field factories return plain float closures f(t, h, c) -> (dh, dc),
+# which integrate hands straight to the float DP5 stepper; solve_ode adapts
+# an array field onto the same stepper.  The rhs_* wrappers are the
+# one-shot variants for callers holding State objects.
 # ---------------------------------------------------------------------------
 
 Field = Callable[[float, float, float], tuple[float, float]]
@@ -306,40 +306,46 @@ _GROW_CAP = 5.0
 _SAFETY = 0.9
 
 
-def _clip_or_fail(y: np.ndarray, clip_floor: float) -> None:
-    """Zero out roundoff-negative components in place; fail on real ones."""
-    for i in range(y.shape[0]):
-        if y[i] < 0.0:
-            if y[i] >= clip_floor:
-                y[i] = 0.0
-            else:
+def _clip_or_fail(y: tuple[float, ...], clip_floor: float) -> tuple[float, ...]:
+    """Zero out roundoff-negative components; fail on real ones."""
+    if min(y) >= 0.0:
+        return y
+    clipped = []
+    for i, v in enumerate(y):
+        if v < 0.0:
+            if v < clip_floor:
                 raise NumericalError(
-                    f"state component {i} reached {y[i]:.6g}, below clip floor {clip_floor:.6g}"
+                    f"state component {i} reached {v:.6g}, below clip floor {clip_floor:.6g}"
                 )
+            v = 0.0
+        clipped.append(v)
+    return tuple(clipped)
 
 
-def solve_ode(
-    field: Callable[[float, np.ndarray], np.ndarray],
+def _finite(vector: Sequence[float]) -> bool:
+    return all(map(math.isfinite, vector))
+
+
+def _dormand_prince(
+    field: Callable[..., Sequence[float]],
     y0: Sequence[float],
     t_span: tuple[float, float],
-    rtol: float = 1e-8,
-    atol: float = 1e-6,
-    t_eval: Sequence[float] | None = None,
-    nonnegative: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate y' = field(t, y) over t_span, returning (times, states).
+    rtol: float,
+    atol: float,
+    t_eval: Sequence[float] | None,
+    nonnegative: bool,
+) -> tuple[list[float], list[tuple[float, ...]]]:
+    """The one DP5 stepper: field(t, *y) returns dy/dt as a sequence of
+    floats, and the state is a tuple of Python floats throughout.
 
-    With t_eval given, the step size is capped so the solver lands exactly
-    on every requested time and only those samples are returned; otherwise
-    every accepted step is recorded.  t_eval must be strictly increasing
-    and contained in t_span.
+    Returns the recorded times and states as lists; see solve_ode for the
+    sampling rules.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ConfigError("t_span must satisfy t1 > t0")
-    y = np.asarray(y0, dtype=float).copy()
-    if y.ndim != 1:
-        raise ConfigError("y0 must be one-dimensional")
+    y = tuple(y0)
+    n = len(y)
 
     targets: list[float] | None = None
     if t_eval is not None:
@@ -354,12 +360,12 @@ def solve_ode(
     clip_floor = -1e3 * atol
 
     times: list[float] = []
-    states: list[np.ndarray] = []
+    states: list[tuple[float, ...]] = []
     next_target = 0
 
-    def record(t: float, yv: np.ndarray) -> None:
+    def record(t: float, yv: tuple[float, ...]) -> None:
         times.append(t)
-        states.append(yv.copy())
+        states.append(yv)
 
     t = t0
     if targets is None:
@@ -368,8 +374,8 @@ def solve_ode(
         record(t0, y)
         next_target = 1
 
-    k1 = np.asarray(field(t, y), dtype=float)
-    if not np.all(np.isfinite(k1)):
+    k1 = field(t, *y)
+    if not _finite(k1):
         raise NumericalError("right-hand side not finite at initial state")
     h = span / 100.0
 
@@ -387,31 +393,53 @@ def solve_ode(
         if h < min_step:
             raise NumericalError(f"step size underflow near t = {t:.6g}")
 
-        k2 = np.asarray(field(t + _C2 * h, y + h * (_A21 * k1)), dtype=float)
-        k3 = np.asarray(field(t + _C3 * h, y + h * (_A31 * k1 + _A32 * k2)), dtype=float)
-        k4 = np.asarray(field(t + _C4 * h, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3)), dtype=float)
-        k5 = np.asarray(
-            field(t + _C5 * h, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4)),
-            dtype=float,
+        k2 = field(t + _C2 * h, *[yi + h * (_A21 * a) for yi, a in zip(y, k1)])
+        k3 = field(
+            t + _C3 * h,
+            *[yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)],
         )
-        k6 = np.asarray(
-            field(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5)),
-            dtype=float,
+        k4 = field(
+            t + _C4 * h,
+            *[
+                yi + h * (_A41 * a + _A42 * b + _A43 * c)
+                for yi, a, b, c in zip(y, k1, k2, k3)
+            ],
         )
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = np.asarray(field(t + h, y_new), dtype=float)
+        k5 = field(
+            t + _C5 * h,
+            *[
+                yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+            ],
+        )
+        k6 = field(
+            t + h,
+            *[
+                yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
+            ],
+        )
+        y_new = tuple([
+            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
+            for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
+        ])
+        k7 = field(t + h, *y_new)
 
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(k7))):
+        if not (_finite(y_new) and _finite(k7)):
             raise NumericalError(f"non-finite state near t = {t:.6g}")
 
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        norm = math.sqrt(float(np.mean((err / scale) ** 2)))
+        # RMS of the error over the tolerance scale, as the mean of squares
+        total = 0.0
+        for yi, yn, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
+            err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+            q = err / (atol + rtol * max(abs(yi), abs(yn)))
+            total += q * q
+        norm = math.sqrt(total / n)
 
         if norm <= 1.0:
             t_new = t + h
             if nonnegative:
-                _clip_or_fail(y_new, clip_floor)
+                y_new = _clip_or_fail(y_new, clip_floor)
             t, y, k1 = t_new, y_new, k7
             if targets is None:
                 record(t, y)
@@ -425,6 +453,39 @@ def solve_ode(
         )
         h = h * factor
 
+    return times, states
+
+
+def solve_ode(
+    field: Callable[[float, np.ndarray], np.ndarray],
+    y0: Sequence[float],
+    t_span: tuple[float, float],
+    rtol: float = 1e-8,
+    atol: float = 1e-6,
+    t_eval: Sequence[float] | None = None,
+    nonnegative: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate y' = field(t, y) over t_span, returning (times, states).
+
+    field takes and returns 1-D arrays; it is adapted onto the float
+    stepper that integrate uses, one array round trip per evaluation.
+    With t_eval given, the step size is capped so the solver lands exactly
+    on every requested time and only those samples are returned; otherwise
+    every accepted step is recorded.  t_eval must be strictly increasing
+    and contained in t_span.
+    """
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or y.size == 0:
+        raise ConfigError("y0 must be one-dimensional and nonempty")
+
+    def scalar_field(t: float, *yv: float) -> list[float]:
+        # a field may return a scalar for every component, as numpy allows
+        dy = np.asarray(field(t, np.array(yv)), dtype=float)
+        return np.broadcast_to(dy, y.shape).tolist()
+
+    times, states = _dormand_prince(
+        scalar_field, y.tolist(), t_span, rtol, atol, t_eval, nonnegative
+    )
     return np.asarray(times), np.asarray(states)
 
 
@@ -436,18 +497,18 @@ def integrate(
     atol: float = 1e-6,
     t_eval: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Adaptive integration of a two-population field into a Trajectory."""
+    """Adaptive integration of a two-population field into a Trajectory.
 
-    def vec_field(t: float, y: np.ndarray) -> np.ndarray:
-        dh, dc = field(t, y[0], y[1])
-        return np.array((dh, dc))
-
-    times, states = solve_ode(
-        vec_field,
-        initial.as_tuple(),
+    The field is called as field(t, h, c) on Python floats, with no array
+    in between.
+    """
+    times, states = _dormand_prince(
+        field,
+        (float(initial.healthy), float(initial.cancer)),
         t_span,
-        rtol=rtol,
-        atol=atol,
-        t_eval=t_eval,
+        rtol,
+        atol,
+        t_eval,
+        nonnegative=True,
     )
-    return Trajectory(times=times, states=states)
+    return Trajectory(times=np.asarray(times), states=np.asarray(states))

@@ -20,6 +20,7 @@ dose rate.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,12 +193,15 @@ def simulate_fractionated(
 
     starts = plan.session_starts
     duration = plan.session_duration
+    # starts increase with gaps of at least duration, so only the last
+    # session starting at or before t (by the same 1e-9 slack) can cover it
+    lowered = [s - 1e-9 for s in starts]
 
     def session_start_at(t: float) -> float | None:
         # session covering t, half-open [start, start + duration)
-        for s in starts:
-            if s - 1e-9 <= t < s + duration - 1e-9:
-                return s
+        i = bisect_right(lowered, t) - 1
+        if i >= 0 and t < starts[i] + duration - 1e-9:
+            return starts[i]
         return None
 
     def free_rates(h: float, c: float) -> tuple[float, float]:

@@ -37,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .competition_dynamics import (
     CompetitionParams,
@@ -286,20 +285,21 @@ def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, 
     refine = setup.refine
     n_steps = setup.n_intervals * refine
     h_step = setup.step
-    states = np.empty((n_steps + 1, 2))
+    U = np.asarray(controls, dtype=float).tolist()
     hv, cv = setup.initial.healthy, setup.initial.cancer
-    states[0] = (hv, cv)
+    rows = [(hv, cv)]
 
     for j in range(n_steps):
-        u = controls[j // refine]
+        u = U[j // refine]
         k1h, k1c = f(hv, cv, u)
         k2h, k2c = f(hv + 0.5 * h_step * k1h, cv + 0.5 * h_step * k1c, u)
         k3h, k3c = f(hv + 0.5 * h_step * k2h, cv + 0.5 * h_step * k2c, u)
         k4h, k4c = f(hv + h_step * k3h, cv + h_step * k3c, u)
         hv += (h_step / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
         cv += (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        states[j + 1] = (hv, cv)
+        rows.append((hv, cv))
 
+    states = np.array(rows)
     _require_finite(states, "state rollout", setup)
     return setup.node_times(), states
 
@@ -322,15 +322,18 @@ def backward_rollout(
     refine = setup.refine
     n_steps = setup.n_intervals * refine
     h_step = setup.step
-    adjoints = np.zeros((n_steps + 1, 2))
+    U = np.asarray(controls, dtype=float).tolist()
+    S = np.asarray(states, dtype=float).tolist()
 
     # each stage is p' = -(grad of the running cost + J^T p); the two
-    # midpoint stages share one state, hence one Jacobian
+    # midpoint stages share one state, hence one Jacobian; rows are
+    # collected from the final node back and reversed once at the end
     ph, pc = 0.0, 0.0
+    rows = [(ph, pc)]
     for j in range(n_steps - 1, -1, -1):
-        u = controls[j // refine]
-        h1, c1 = states[j + 1]
-        h0, c0 = states[j]
+        u = U[j // refine]
+        h1, c1 = S[j + 1]
+        h0, c0 = S[j]
         hm, cm = 0.5 * (h0 + h1), 0.5 * (c0 + c1)
         a00, a01, a10, a11 = jacobian(h1, c1, u)
         k1h = -(2.0 * (h1 - k) / sh2 + a00 * ph + a10 * pc)
@@ -349,8 +352,9 @@ def backward_rollout(
         k4c = -(2.0 * c0 / sc2 + a01 * qh + a11 * qc)
         ph -= (h_step / 6.0) * (k1h + 2.0 * k2h + 2.0 * k3h + k4h)
         pc -= (h_step / 6.0) * (k1c + 2.0 * k2c + 2.0 * k3c + k4c)
-        adjoints[j] = (ph, pc)
+        rows.append((ph, pc))
 
+    adjoints = np.array(rows[::-1])
     _require_finite(adjoints, "adjoint rollout", setup)
     return adjoints
 
@@ -408,6 +412,8 @@ def objective_and_gradient(
 
     _, s1 = forward_rollout(setup, controls)
     objective = _quadrature_objective(setup, s1, controls)
+    U = np.asarray(controls, dtype=float).tolist()
+    S = s1.tolist()
 
     grad = np.zeros(setup.n_intervals)
     # direct dependence of the quadrature on u
@@ -418,15 +424,17 @@ def objective_and_gradient(
         _quadrature_weights(setup) * 2.0 * model.control_weight
         * np.asarray(controls)[node_interval],
     )
+    # the sweep adds to the quadrature term as floats, in the same order
+    G = grad.tolist()
 
     # reverse sweep; w accumulates d(objective)/d(node state)
-    hN, cN = s1[n_steps]
+    hN, cN = S[n_steps]
     wh = 0.5 * h_step * 2.0 * (hN - k) / sh2
     wc = 0.5 * h_step * 2.0 * cN / sc2
     for j in range(n_steps - 1, -1, -1):
         i = j // refine
-        u = controls[i]
-        h1, c1 = s1[j]
+        u = U[i]
+        h1, c1 = S[j]
         k1h, k1c = f(h1, c1, u)
         h2, c2 = h1 + 0.5 * h_step * k1h, c1 + 0.5 * h_step * k1c
         k2h, k2c = f(h2, c2, u)
@@ -458,7 +466,7 @@ def objective_and_gradient(
         sb1c = a01 * kb1h + a11 * kb1c
 
         # control enters every stage through the kill terms
-        grad[i] += (
+        G[i] += (
             kb1h * (-lam * h1) + kb1c * (-mu * c1)
             + kb2h * (-lam * h2) + kb2c * (-mu * c2)
             + kb3h * (-lam * h3) + kb3c * (-mu * c3)
@@ -472,7 +480,7 @@ def objective_and_gradient(
         wh += wq * 2.0 * (h1 - k) / sh2
         wc += wq * 2.0 * c1 / sc2
 
-    return objective, grad
+    return objective, np.array(G)
 
 
 # ---------------------------------------------------------------------------
@@ -554,6 +562,9 @@ def solve_direct(
     max_iter: int = 500,
 ) -> OCPSolution:
     """Bound-constrained quasi-Newton descent on the transcription."""
+    # imported here so that every other kind starts without scipy.optimize
+    from scipy.optimize import minimize
+
     u_max = setup.control.max_intensity
     x0 = np.full(setup.n_intervals, 0.5 * u_max)
     history: list[float] = []

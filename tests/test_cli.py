@@ -6,6 +6,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -475,3 +477,14 @@ def test_traced_names_resolve():
     pairs += list(tracing.FIELD_FACTORIES)
     for module, attr in pairs:
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # only solve_direct needs L-BFGS-B; every other kind starts without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import sys, oncocontrol.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -219,6 +219,37 @@ def test_nonfinite_field_raises():
         solve_ode(bad, [1.0], (0.0, 1.0))
 
 
+def test_integrate_and_solve_ode_share_one_stepper():
+    # integrate calls field(t, h, c) on floats, solve_ode adapts an array
+    # field onto the same stepper: the two must agree to the last bit
+    rng = np.random.default_rng(57)
+    for case in range(12):
+        p = shared_params(
+            healthy_rate=rng.uniform(0.1, 4.0),
+            cancer_rate=rng.uniform(0.1, 1.0),
+            competition_coeff=rng.uniform(0.0, 1e-7),
+        )
+        c = therapy_params()
+        field = (
+            competition_field(p),
+            controlled_field(p, c, rng.uniform(0.0, 1.0)),
+            controlled_field(p, c, lambda t: 0.5 + 0.5 * math.sin(t)),
+        )[case % 3]
+        h0 = rng.uniform(0.0, 6e5)
+        start = State(healthy=h0, cancer=rng.uniform(0.0, 7e5 - h0))
+        t1 = rng.uniform(5.0, 100.0)
+        t_eval = np.sort(rng.uniform(0.0, t1, 5)) if case % 2 else None
+        traj = integrate(field, start, (0.0, t1), t_eval=t_eval)
+        times, states = solve_ode(
+            lambda t, y: np.array(field(t, y[0], y[1])),
+            start.as_tuple(),
+            (0.0, t1),
+            t_eval=t_eval,
+        )
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+
+
 def test_integrate_keeps_competition_bounded():
     p = shared_params()
     rng = np.random.default_rng(23)

@@ -151,6 +151,25 @@ def test_single_session_matches_closed_form_kill():
     assert not traj.in_session[-1]
 
 
+def test_back_to_back_sessions_each_restart_the_dose():
+    # gaps equal to the duration are allowed; each substep must be charged
+    # to the session it lies in, so every session is one full LQ hit
+    growth = course_growth()
+    plan = FractionationPlan(
+        session_starts=(10.0, 10.25, 10.5, 10.75),
+        session_duration=0.25,
+        session_dose=2.0,
+    )
+    traj = simulate_fractionated(
+        growth, CANCER_LQ, HEALTHY_LQ, plan, t_end=11.0, dt=0.05
+    )
+    before = traj.times == 10.0
+    kill = surviving_fraction(CANCER_LQ, 2.0) ** 4
+    assert traj.cancer[-1] == pytest.approx(traj.cancer[before][0] * kill, rel=1e-12)
+    assert all(traj.in_session[(traj.times >= 10.0) & (traj.times < 11.0)])
+    assert not traj.in_session[-1]
+
+
 def test_session_boundaries_land_on_grid():
     growth = course_growth()
     plan = FractionationPlan(

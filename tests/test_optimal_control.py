@@ -27,8 +27,8 @@ from oncocontrol import (
     solve_direct,
     solve_fbsm,
 )
-from oncocontrol.optimal_control import controls_at_times
-from oncocontrol.errors import ConfigError
+from oncocontrol.optimal_control import backward_rollout, controls_at_times
+from oncocontrol.errors import ConfigError, NumericalError
 
 DYN = CompetitionParams(
     healthy_rate=3.0,
@@ -203,6 +203,29 @@ def test_rollout_tracks_the_adaptive_integrator():
     )
     assert states[-1, 0] == pytest.approx(ref.states[-1, 0], rel=1e-6)
     assert states[-1, 1] == pytest.approx(ref.states[-1, 1], rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stiff_rollouts_raise_numerical_error():
+    # the scalar loops run on Python floats, where overflow gives inf
+    # silently; each rollout must still end in NumericalError rather than
+    # OverflowError, ZeroDivisionError or a numpy warning.  The adjoint is
+    # linear in p, and RK4 amplifies it by about (step*rate)^4/24 per step,
+    # so overflowing it in 20 steps takes a step of some 500 days
+    stiff = dataclasses.replace(DYN, healthy_rate=50.0)
+    setup = OCPSetup(
+        dynamics=stiff, control=CTL, initial=NOMINAL,
+        horizon=1e4, n_intervals=10, refine=2,
+    )
+    u = np.full(10, 0.5)
+    held = np.tile(NOMINAL.as_tuple(), (setup.n_nodes, 1))
+    for run in (
+        lambda: forward_rollout(setup, u),
+        lambda: backward_rollout(setup, held, u),
+        lambda: objective_and_gradient(setup, u),
+    ):
+        with pytest.raises(NumericalError, match="raise n_intervals or refine"):
+            run()
 
 
 # ---------------------------------------------------------------------------
