@@ -18,8 +18,11 @@ other:
 
   solve_fbsm    forward-backward sweeps derived from the first-order
                 optimality system: integrate the state forward, the
-                adjoint backward, then relax the control toward the
-                pointwise minimiser of the Hamiltonian.
+                adjoint backward, and take the pointwise minimiser of
+                the Hamiltonian P(u).  The fixed point u = P(u) is found
+                by damped steps extrapolated with type-II Anderson
+                mixing over the last few sweeps, restarted whenever the
+                residual P(u) - u grows.
   solve_direct  transcribe the rollout with fixed-step RK4 and hand the
                 objective to L-BFGS-B with an exact discrete adjoint
                 gradient (reverse sweep through every RK4 stage, no
@@ -49,6 +52,11 @@ from .errors import ConfigError, NumericalError
 
 SOLVER_INDIRECT = "indirect-FBSM"
 SOLVER_DIRECT = "direct-transcription"
+
+# sweeps of history kept by solve_fbsm's Anderson mixing
+_ANDERSON_DEPTH = 5
+# RK4's stability interval on the negative real axis, [-2.785, 0]
+_RK4_REAL_LIMIT = 2.785
 
 
 @dataclass(frozen=True)
@@ -274,6 +282,31 @@ def _require_finite(values: np.ndarray, what: str, setup: OCPSetup) -> None:
         )
 
 
+def _check_rk4_step(setup: OCPSetup) -> None:
+    """Raise NumericalError, before any rollout, when the RK4 step times
+    the fastest decay rate of the linearised dynamics leaves RK4's real
+    stability interval.
+
+    The rates are those at the two single-population equilibria under
+    full intensity: r_h + lam*u_max at (K, 0), and r_c + mu*u_max and
+    gamma*K + lam*u_max at (0, K).  A rollout that nears either point
+    with a longer step grows instead of settling.
+    """
+    d, c = setup.dynamics, setup.control
+    u_max = c.max_intensity
+    rate = max(
+        d.healthy_rate + c.healthy_kill_coeff * u_max,
+        d.cancer_rate + c.cancer_kill_coeff * u_max,
+        d.competition_coeff * d.shared_capacity + c.healthy_kill_coeff * u_max,
+    )
+    if rate * setup.step > _RK4_REAL_LIMIT:
+        raise NumericalError(
+            f"the RK4 step of {setup.step:g} days times the fastest rate "
+            f"{rate:g}/day is {rate * setup.step:.4g}, past RK4's stability "
+            f"limit of {_RK4_REAL_LIMIT}; raise n_intervals or refine"
+        )
+
+
 def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 rollout of the controlled dynamics.
 
@@ -495,21 +528,35 @@ def solve_fbsm(
 ) -> OCPSolution:
     """Forward-backward sweep iteration on the optimality system.
 
-    Starts from zero intensity.  Each sweep relaxes the control toward
-    the Hamiltonian minimiser sampled at interval midpoints; when the
-    update norm rises for three sweeps in a row the relaxation factor is
-    halved.  Non-convergence is reported on the solution, not raised.
+    Starts from zero intensity.  Each sweep rolls the state forward and
+    the adjoint backward under the current control u and takes the
+    Hamiltonian minimiser P(u) at interval midpoints; the fixed point
+    u = P(u) is the first-order optimum.  With residual g = P(u) - u and
+    beta = relaxation, the damped step u + beta*g is extrapolated by
+    type-II Anderson mixing (Walker & Ni 2011) over the last
+    _ANDERSON_DEPTH sweeps: gamma fits g by least squares on the residual
+    differences dG, and u becomes u + beta*g - (dU + beta*dG) gamma,
+    clipped to [0, max_intensity].  When max|g| rises above the previous
+    sweep's, the history is cleared and the plain damped step taken.
+    The iteration stops, after one last damped step, once beta*max|g| <
+    tol, which is the reported final_update_norm.  Non-convergence is
+    reported on the solution, not raised.
     """
     assert setup.cost is not None
     if not (0.0 < relaxation <= 1.0):
         raise ConfigError("relaxation must lie in (0, 1]")
+    _check_rk4_step(setup)
+    beta = relaxation
+    u_max = setup.control.max_intensity
     refine = setup.refine
     mids = np.arange(setup.n_intervals) * refine + refine // 2
 
     u = np.zeros(setup.n_intervals)
-    relax = relaxation
-    prev_delta = np.inf
-    rise_streak = 0
+    # column k of dU and dG: change of u and of g between two sweeps
+    d_u: list[np.ndarray] = []
+    d_g: list[np.ndarray] = []
+    prev_u = prev_g = None
+    prev_norm = np.inf
     delta = np.inf
     converged = False
     iterations = 0
@@ -517,23 +564,31 @@ def solve_fbsm(
     for iterations in range(1, max_iter + 1):
         _, states = forward_rollout(setup, u)
         adjoints = backward_rollout(setup, states, u)
-        proposal = _clamped_minimiser(
+        g = _clamped_minimiser(
             adjoints[mids], states[mids], setup.control, setup.cost
-        )
-        u_new = (1.0 - relax) * u + relax * proposal
-        delta = float(np.max(np.abs(u_new - u)))
-        u = u_new
+        ) - u
+        norm = float(np.max(np.abs(g)))
+        delta = beta * norm
         if delta < tol:
+            u = u + beta * g
             converged = True
             break
-        if delta > prev_delta:
-            rise_streak += 1
-            if rise_streak >= 3:
-                relax = max(0.5 * relax, 1.0 / 64.0)
-                rise_streak = 0
+        if norm > prev_norm:
+            # the last step raised the residual: restart the history
+            d_u.clear()
+            d_g.clear()
+        elif prev_u is not None:
+            d_u.append(u - prev_u)
+            d_g.append(g - prev_g)
+            if len(d_u) > _ANDERSON_DEPTH:
+                del d_u[0], d_g[0]
+        prev_u, prev_g, prev_norm = u, g, norm
+        if d_g:
+            dU, dG = np.column_stack(d_u), np.column_stack(d_g)
+            gamma = np.linalg.lstsq(dG, g, rcond=None)[0]
+            u = np.clip(u + beta * g - (dU + beta * dG) @ gamma, 0.0, u_max)
         else:
-            rise_streak = 0
-        prev_delta = delta
+            u = u + beta * g
 
     times, states = forward_rollout(setup, u)
     adjoints = backward_rollout(setup, states, u)
@@ -562,6 +617,7 @@ def solve_direct(
     max_iter: int = 500,
 ) -> OCPSolution:
     """Bound-constrained quasi-Newton descent on the transcription."""
+    _check_rk4_step(setup)
     # imported here so that every other kind starts without scipy.optimize
     from scipy.optimize import minimize
 

@@ -1,6 +1,9 @@
 """Therapy scheduling: cost, optimality pieces, and the two solvers."""
 
 import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,8 +30,12 @@ from oncocontrol import (
     solve_direct,
     solve_fbsm,
 )
+from oncocontrol import optimal_control
 from oncocontrol.optimal_control import backward_rollout, controls_at_times
+from oncocontrol.config import load_config, ocp_setup_from
 from oncocontrol.errors import ConfigError, NumericalError
+
+REPO = Path(__file__).resolve().parents[1]
 
 DYN = CompetitionParams(
     healthy_rate=3.0,
@@ -228,6 +235,65 @@ def test_stiff_rollouts_raise_numerical_error():
             run()
 
 
+def test_solvers_reject_a_step_past_the_rk4_limit_before_any_rollout(monkeypatch):
+    # the stiff OCP of the command line: 5-day steps x healthy rate 50
+    stiff = OCPSetup(
+        dynamics=dataclasses.replace(DYN, healthy_rate=50.0), control=CTL,
+        initial=NOMINAL, n_intervals=10, refine=2,
+    )
+
+    def no_rollout(*args):
+        raise AssertionError("rolled out before checking the step")
+
+    monkeypatch.setattr(optimal_control, "forward_rollout", no_rollout)
+    for solver in (solve_fbsm, solve_direct):
+        with pytest.raises(NumericalError, match="raise n_intervals or refine"):
+            solver(stiff)
+
+
+def _ocp_setups(kind, params):
+    if kind == "ocp":
+        return [ocp_setup_from(params)]
+    if kind == "dose-report":
+        return [ocp_setup_from({**params, "initial": d}) for d in params["initials"]]
+    return []
+
+
+def test_rk4_step_check_passes_the_shipped_configs():
+    configs = sorted((REPO / "configs").glob("*.json"))
+    assert len(configs) == 8
+    setups = []
+    for path in configs:
+        cfg = load_config(path)
+        setups += _ocp_setups(cfg.kind, cfg.parameters)
+    assert len(setups) == 4
+    for setup in setups:
+        optimal_control._check_rk4_step(setup)
+
+
+def test_rk4_step_check_passes_the_benchmark_patients(monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", REPO / "bench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    items = [
+        item
+        for seed in (1, 2, 3)
+        for item in workloads.plan_round(seed, 0) + workloads.cohort_round(seed, 0)
+    ]
+    for item in items:
+        for setup in _ocp_setups(item.kind, item.parameters):
+            if item.expect == "ok":
+                optimal_control._check_rk4_step(setup)
+            else:
+                with pytest.raises(NumericalError):
+                    optimal_control._check_rk4_step(setup)
+    assert {item.expect for item in items} == {"ok", "numerical"}
+
+
 # ---------------------------------------------------------------------------
 # degenerate problems with known optima
 # ---------------------------------------------------------------------------
@@ -267,9 +333,9 @@ def test_fbsm_reference_solve(fbsm_solution):
     assert sol.converged
     assert sol.iterations < 500
     assert sol.objective == pytest.approx(2750755.544344528, rel=1e-9)
-    assert sol.total_dose == pytest.approx(48.939495042187154, rel=1e-9)
-    assert sol.states[-1, 0] == pytest.approx(699984.270603839, rel=1e-9)
-    assert sol.states[-1, 1] == pytest.approx(8.817044713778829, rel=1e-6)
+    assert sol.total_dose == pytest.approx(48.93950541945415, rel=1e-9)
+    assert sol.states[-1, 0] == pytest.approx(699984.270623412, rel=1e-9)
+    assert sol.states[-1, 1] == pytest.approx(8.817027878325248, rel=1e-6)
     # transversality: free terminal state means zero terminal adjoint
     assert sol.adjoints is not None
     assert tuple(sol.adjoints[-1]) == (0.0, 0.0)
@@ -325,6 +391,68 @@ def test_pontryagin_residual_matches_scalar_reference(fbsm_solution, main_setup)
             for i, m in enumerate(mids)
         )
         assert pontryagin_residual(main_setup, sol) == expected
+
+
+def test_default_tol_reaches_the_fixed_point(fbsm_solution, main_setup):
+    # a far tighter solve stands for the fixed point u = P(u); the default
+    # tol must land on it, not wherever the iteration happened to slow down
+    exact = solve_fbsm(main_setup, tol=1e-13)
+    assert exact.converged
+    assert fbsm_solution.total_dose == pytest.approx(exact.total_dose, rel=1e-8)
+
+
+def test_fbsm_converges_from_the_stalled_start():
+    # the damped iteration stopped here at an update of 1.0118e-6 after
+    # 500 sweeps against tol 1e-6
+    setup = OCPSetup(
+        dynamics=DYN, control=CTL, initial=State(healthy=5.58e5, cancer=3.91e4),
+        n_intervals=50, refine=4,
+    )
+    sol = solve_fbsm(setup)
+    assert sol.converged
+    assert sol.objective == pytest.approx(solve_direct(setup).objective, rel=1e-6)
+
+
+def test_fbsm_answer_does_not_depend_on_relaxation(fbsm_solution, main_setup):
+    for relaxation in (0.1, 0.25):
+        sol = solve_fbsm(main_setup, relaxation=relaxation)
+        assert sol.converged
+        assert sol.objective == pytest.approx(fbsm_solution.objective, rel=1e-9)
+
+
+def test_fbsm_restarts_when_a_mixed_step_raises_the_residual(monkeypatch):
+    # record each sweep's control u and residual g = P(u) - u from the
+    # backward rollout, the last call before the minimiser; after every
+    # rise of max|g| the next control must be the plain damped step
+    setup = OCPSetup(
+        dynamics=DYN, control=CTL, initial=State(healthy=4.437e5, cancer=1.017e5),
+        n_intervals=100, refine=4,
+    )
+    mids = np.arange(setup.n_intervals) * setup.refine + setup.refine // 2
+    controls, residuals = [], []
+    rollout = optimal_control.backward_rollout
+
+    def recording(setup, states, u):
+        adjoints = rollout(setup, states, u)
+        controls.append(u.copy())
+        residuals.append(
+            optimal_control._clamped_minimiser(
+                adjoints[mids], states[mids], setup.control, setup.cost
+            ) - u
+        )
+        return adjoints
+
+    monkeypatch.setattr(optimal_control, "backward_rollout", recording)
+    sol = solve_fbsm(setup, relaxation=0.5)
+    assert sol.converged
+    norms = [np.max(np.abs(g)) for g in residuals[: sol.iterations]]
+    restarts = [k for k in range(1, len(norms)) if norms[k] > norms[k - 1]]
+    assert len(restarts) >= 3
+    for k in restarts:
+        np.testing.assert_array_equal(
+            controls[k + 1], controls[k] + 0.5 * residuals[k]
+        )
+    assert pontryagin_residual(setup, sol) < 1e-5
 
 
 def test_objective_survives_resimulation(direct_solution):
