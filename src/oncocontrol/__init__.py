@@ -55,7 +55,6 @@ from .optimal_control import (
     cost,
     dose_report,
     forward_rollout,
-    hamiltonian_control,
     objective_and_gradient,
     pontryagin_residual,
     solve_direct,

@@ -179,7 +179,7 @@ def _system(p: dict):
     """Field of the configured system, and a thunk for its equilibria
     without the nonlinear probe."""
     dynamics = competition_params_from(p["dynamics"])
-    system = p.get("system", "competition")
+    system = p["system"]
     if system != "controlled":
         factory = coexistence_field if system == "coexistence" else competition_field
         return factory(dynamics), lambda: equilibria_uncontrolled(
@@ -188,7 +188,7 @@ def _system(p: dict):
     if "control" not in p:
         raise ConfigError("controlled system needs a control block")
     control = control_params_from(p["control"])
-    intensity = p.get("intensity", 0.0)
+    intensity = p["intensity"]
     return controlled_field(dynamics, control, intensity), lambda: (
         equilibria_constant_control(dynamics, control, intensity, probe_nonhyperbolic=False)
     )
@@ -354,7 +354,7 @@ def _run_constant_control(cfg: ScenarioConfig) -> ScenarioResult:
 
     if "simulate" in p:
         sim = p["simulate"]
-        times = np.linspace(0.0, sim["t_end"], sim.get("samples", 501))
+        times = np.linspace(0.0, sim["t_end"], sim["samples"])
         traj = integrate(
             controlled_field(dynamics, control, intensity),
             state_from(sim["initial"]),
@@ -378,19 +378,8 @@ def _run_constant_control(cfg: ScenarioConfig) -> ScenarioResult:
 
 def _solve_for(setup: OCPSetup, which: str, p: dict) -> OCPSolution:
     if which == "indirect":
-        opts = p.get("fbsm", {})
-        return solve_fbsm(
-            setup,
-            relaxation=opts.get("relaxation", 0.5),
-            tol=opts.get("tol", 1e-6),
-            max_iter=opts.get("max_iter", 500),
-        )
-    opts = p.get("direct", {})
-    return solve_direct(
-        setup,
-        ftol=opts.get("ftol", 1e-11),
-        max_iter=opts.get("max_iter", 500),
-    )
+        return solve_fbsm(setup, **p["fbsm"])
+    return solve_direct(setup, **p["direct"])
 
 
 def _solution_table(sol: OCPSolution, stride: int) -> tuple[list[str], Iterator[tuple]]:
@@ -457,12 +446,16 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
         raise ConfigError("labels must match initials in length")
     if labels is None:
         labels = [f"scenario_{i + 1}" for i in range(len(initials))]
+    constant = p.get("constant_intensity")
+    u_max = base.control.max_intensity
+    if constant is not None and not (0.0 <= constant <= u_max):
+        raise ConfigError(f"constant_intensity {constant:g} outside [0, {u_max:g}]")
 
     solutions = [
         _solve_for(dataclasses.replace(base, initial=initial), p["solver"], p)
         for initial in initials
     ]
-    rows = dose_report(solutions, labels, p.get("constant_intensity"))
+    rows = dose_report(solutions, labels, constant)
 
     totals: dict = {}
     for r in rows:

@@ -7,13 +7,19 @@ and defaults; this module validates against it, fills in the defaults it
 declares, and converts the result into the typed parameter objects of the
 library modules.  Unknown keys are rejected everywhere, so a typo fails
 loudly instead of silently running with a default.
+
+The converters unpack each validated block by field name and restate no
+default: the schema owns the defaults, and a key missing from a partial
+dict built by hand falls through to the dataclass default.  A test keeps
+the schema's property names and defaults equal to the dataclass fields
+and solver keywords they are unpacked into.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
@@ -145,86 +151,56 @@ def load_config(path: str | Path) -> ScenarioConfig:
 # dict -> typed parameter objects
 # ---------------------------------------------------------------------------
 
+def _fields_of(cls, d: dict) -> dict:
+    """The entries of d that name fields of the dataclass cls."""
+    names = {f.name for f in fields(cls)}
+    return {k: v for k, v in d.items() if k in names}
+
+
 def competition_params_from(d: dict) -> CompetitionParams:
-    return CompetitionParams(
-        healthy_rate=d["healthy_rate"],
-        cancer_rate=d["cancer_rate"],
-        shared_capacity=d["shared_capacity"],
-        healthy_capacity=d.get("healthy_capacity"),
-        cancer_capacity=d.get("cancer_capacity"),
-        competition_coeff=d.get("competition_coeff", 0.0),
-    )
+    return CompetitionParams(**d)
 
 
 def control_params_from(d: dict) -> ControlParams:
-    return ControlParams(
-        healthy_kill_coeff=d["healthy_kill_coeff"],
-        cancer_kill_coeff=d["cancer_kill_coeff"],
-        max_intensity=d.get("max_intensity", 1.0),
-    )
+    return ControlParams(**d)
 
 
 def state_from(d: dict) -> State:
-    return State(healthy=d["healthy"], cancer=d["cancer"])
+    return State(**d)
 
 
 def cost_model_from(d: dict | None, dynamics: CompetitionParams) -> CostModel:
-    derived = CostModel.for_dynamics(dynamics)
-    if not d:
-        return derived
-    return CostModel(
-        healthy_scale=d.get("healthy_scale", derived.healthy_scale),
-        cancer_scale=d.get("cancer_scale", derived.cancer_scale),
-        control_weight=d.get("control_weight", derived.control_weight),
-    )
+    """Cost scales derived from the dynamics, overridden by those given."""
+    return replace(CostModel.for_dynamics(dynamics), **(d or {}))
 
 
 def growth_params_from(d: dict) -> GrowthParams:
-    return GrowthParams(
-        initial_count=d["initial_count"],
-        start_time=d.get("start_time", 0.0),
-        doubling_time=d.get("doubling_time"),
-        log_fold_cap=d.get("log_fold_cap"),
-        retardation_rate=d.get("retardation_rate"),
-        rate=d.get("rate"),
-        capacity=d.get("capacity"),
-    )
+    return GrowthParams(**_fields_of(GrowthParams, d))
 
 
 def lq_params_from(d: dict) -> LQParams:
-    return LQParams(alpha=d["alpha"], beta=d["beta"])
+    return LQParams(**d)
 
 
 def piecewise_growth_from(d: dict) -> PiecewiseGrowthParams:
-    return PiecewiseGrowthParams(
-        free_healthy_rate=d["free_healthy_rate"],
-        free_cancer_rate=d["free_cancer_rate"],
-        competition_cancer_rate=d["competition_cancer_rate"],
-        capacity=d["capacity"],
-        initial_cancer=d["initial_cancer"],
-        initial_healthy=d["initial_healthy"],
-        competition_trigger=d.get("competition_trigger", 0.95),
-    )
+    return PiecewiseGrowthParams(**d)
 
 
 def plan_from(d: dict) -> FractionationPlan:
-    return FractionationPlan(
-        session_starts=tuple(float(s) for s in d["session_starts"]),
-        session_duration=d["session_duration"],
-        dose_rate=d.get("dose_rate"),
-        session_dose=d.get("session_dose"),
-        eradication_threshold=d.get("eradication_threshold"),
-    )
+    starts = tuple(float(s) for s in d["session_starts"])
+    return FractionationPlan(**{**d, "session_starts": starts})
 
 
 def ocp_setup_from(params: dict) -> OCPSetup:
+    """OCPSetup from an ocp or dose-report parameter block; the grid fields
+    (horizon, n_intervals, refine) are taken by name when present."""
     dynamics = competition_params_from(params["dynamics"])
     return OCPSetup(
-        dynamics=dynamics,
-        control=control_params_from(params["control"]),
-        initial=state_from(params["initial"]),
-        horizon=params.get("horizon", 100.0),
-        n_intervals=params.get("n_intervals", 200),
-        refine=params.get("refine", 4),
-        cost=cost_model_from(params.get("cost"), dynamics),
+        **{
+            **_fields_of(OCPSetup, params),
+            "dynamics": dynamics,
+            "control": control_params_from(params["control"]),
+            "initial": state_from(params["initial"]),
+            "cost": cost_model_from(params.get("cost"), dynamics),
+        }
     )

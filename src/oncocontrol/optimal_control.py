@@ -31,8 +31,9 @@ other:
 Both share the same rollout grid: n_intervals control intervals, each cut
 into `refine` RK4 substeps.  The dynamics and their Jacobian come from the
 single definition in competition_dynamics.competition_equations; this
-module defines the running cost (_running_cost) and the pointwise control
-update (_clamped_minimiser) once each.
+module defines the running cost (_running_cost), the pointwise control
+update (_clamped_minimiser) and the solution both solvers end with
+(_solution) once each.
 """
 
 from __future__ import annotations
@@ -118,9 +119,6 @@ class OCPSetup:
 
     def node_times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_nodes)
-
-    def interval_edges(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_intervals + 1)
 
 
 @dataclass
@@ -231,20 +229,6 @@ def cost(
         traj.healthy, traj.cancer, u_nodes, dynamics.shared_capacity, model
     )
     return _trapezoid(dens, traj.times)
-
-
-def hamiltonian_control(
-    adjoint: tuple[float, float],
-    control: ControlParams,
-    state,
-    model: CostModel,
-) -> float:
-    """Pointwise minimiser of the Hamiltonian over the intensity box."""
-    if isinstance(state, State):
-        state = state.as_tuple()
-    return float(
-        _clamped_minimiser(np.asarray(adjoint), np.asarray(state), control, model)
-    )
 
 
 def adjoint_rhs(
@@ -398,6 +382,12 @@ def _node_intervals(setup: OCPSetup) -> np.ndarray:
     return np.minimum(np.arange(setup.n_nodes) // setup.refine, setup.n_intervals - 1)
 
 
+def _interval_midpoints(setup: OCPSetup) -> np.ndarray:
+    """Rollout node at the midpoint of each control interval, where the
+    control update samples the Hamiltonian minimiser."""
+    return np.arange(setup.n_intervals) * setup.refine + setup.refine // 2
+
+
 def _quadrature_weights(setup: OCPSetup) -> np.ndarray:
     """Uniform composite-trapezoid weights on the rollout nodes."""
     w = np.full(setup.n_nodes, setup.step)
@@ -520,6 +510,24 @@ def objective_and_gradient(
 # solvers
 # ---------------------------------------------------------------------------
 
+def _solution(
+    setup: OCPSetup, u: np.ndarray, with_adjoints: bool, **report
+) -> OCPSolution:
+    """Solution for the final control u: its rollout, objective and total
+    dose, the adjoint rollout when asked for, and the solver's own report
+    (solver, converged, iterations, final_update_norm, message, ...)."""
+    times, states = forward_rollout(setup, u)
+    return OCPSolution(
+        times=times,
+        states=states,
+        control=u,
+        objective=_quadrature_objective(setup, states, u),
+        total_dose=float(np.sum(u) * setup.horizon / setup.n_intervals),
+        adjoints=backward_rollout(setup, states, u) if with_adjoints else None,
+        **report,
+    )
+
+
 def solve_fbsm(
     setup: OCPSetup,
     relaxation: float = 0.5,
@@ -548,8 +556,7 @@ def solve_fbsm(
     _check_rk4_step(setup)
     beta = relaxation
     u_max = setup.control.max_intensity
-    refine = setup.refine
-    mids = np.arange(setup.n_intervals) * refine + refine // 2
+    mids = _interval_midpoints(setup)
 
     u = np.zeros(setup.n_intervals)
     # column k of dU and dG: change of u and of g between two sweeps
@@ -590,24 +597,17 @@ def solve_fbsm(
         else:
             u = u + beta * g
 
-    times, states = forward_rollout(setup, u)
-    adjoints = backward_rollout(setup, states, u)
-    objective = _quadrature_objective(setup, states, u)
-    message = "" if converged else (
-        f"no convergence in {max_iter} sweeps, last update {delta:.3e}"
-    )
-    return OCPSolution(
-        times=times,
-        states=states,
-        control=u,
-        objective=objective,
-        total_dose=float(np.sum(u) * setup.horizon / setup.n_intervals),
+    return _solution(
+        setup,
+        u,
+        with_adjoints=True,
         solver=SOLVER_INDIRECT,
         converged=converged,
         iterations=iterations,
         final_update_norm=delta,
-        message=message,
-        adjoints=adjoints,
+        message="" if converged else (
+            f"no convergence in {max_iter} sweeps, last update {delta:.3e}"
+        ),
     )
 
 
@@ -643,16 +643,11 @@ def solve_direct(
         options={"maxiter": max_iter, "ftol": ftol},
     )
 
-    u = np.clip(result.x, 0.0, u_max)
-    times, states = forward_rollout(setup, u)
-    objective = _quadrature_objective(setup, states, u)
     grad_norm = float(np.max(np.abs(result.jac))) if result.jac is not None else np.nan
-    return OCPSolution(
-        times=times,
-        states=states,
-        control=u,
-        objective=objective,
-        total_dose=float(np.sum(u) * setup.horizon / setup.n_intervals),
+    return _solution(
+        setup,
+        np.clip(result.x, 0.0, u_max),
+        with_adjoints=False,
         solver=SOLVER_DIRECT,
         converged=bool(result.success),
         iterations=int(result.nit),
@@ -671,8 +666,7 @@ def pontryagin_residual(setup: OCPSetup, solution: OCPSolution) -> float:
     assert setup.cost is not None
     if solution.adjoints is None:
         raise ConfigError("solution carries no adjoints")
-    refine = setup.refine
-    mids = np.arange(setup.n_intervals) * refine + refine // 2
+    mids = _interval_midpoints(setup)
     u_star = _clamped_minimiser(
         solution.adjoints[mids], solution.states[mids], setup.control, setup.cost
     )

@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def format_value(value) -> str:
     # numpy scalars repr as np.float64(...); unwrap before formatting
@@ -41,19 +43,25 @@ def _umask() -> int:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    # an output path the system refuses (a file where a directory should
+    # be, no permission) is a configuration problem: it ends in a one-line
+    # ConfigError naming the path, not a traceback
     try:
-        # mkstemp creates the file 0600 and os.replace keeps that mode; give
-        # it the mode a plain open() would have
-        os.fchmod(fd, 0o666 & ~_umask())
-        with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            # mkstemp creates the file 0600 and os.replace keeps that mode;
+            # give it the mode a plain open() would have
+            os.fchmod(fd, 0o666 & ~_umask())
+            with os.fdopen(fd, "w", newline="") as handle:
+                handle.write(text)
+            os.replace(tmp_name, path)
+        except BaseException:
+            if os.path.exists(tmp_name):
+                os.unlink(tmp_name)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:

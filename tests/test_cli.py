@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from oncocontrol import cli
 from oncocontrol.cli import main
 
 DYNAMICS = {
@@ -342,6 +343,26 @@ def test_dose_report_run(tmp_path):
         assert 0.0 <= optimal <= 5.0
 
 
+def test_dose_report_rejects_a_constant_protocol_above_max_intensity(
+    tmp_path, capsys, monkeypatch
+):
+    # criterion 10 bounds every intensity in the table by max_intensity;
+    # the bad reference protocol must fail before any schedule is solved
+    out = tmp_path / "out"
+    payload = dose_report_payload(out)
+    payload["parameters"]["constant_intensity"] = 1.5
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the constant protocol was checked")
+
+    monkeypatch.setattr(cli, "solve_direct", no_solve)
+    cfg = write_config(tmp_path, payload)
+    assert main(["dose-report", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: constant_intensity 1.5 outside [0, 1]\n"
+    assert not out.exists()
+
+
 def test_dose_report_reruns_are_byte_identical(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg_a = write_config(tmp_path, dose_report_payload(out_a), "a.json")
@@ -439,6 +460,27 @@ def test_outputs_honour_the_umask(tmp_path):
         os.umask(saved)
     for name in ("equilibria.csv", "equilibria.json"):
         assert stat.S_IMODE((out / name).stat().st_mode) == 0o644
+
+
+def test_unwritable_output_path_is_a_config_error(tmp_path, capsys):
+    # a regular file where the output directory should be: one line on
+    # stderr naming the path, exit 1, nothing written
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    cfg = write_config(
+        tmp_path,
+        {
+            "kind": "equilibria",
+            "parameters": {"dynamics": DYNAMICS, "probe_nonhyperbolic": False},
+        },
+    )
+    out = blocker / "sub"
+    assert main(["equilibria", "--config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {out / 'equilibria.csv'}: ")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [blocker, cfg]
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("solver", ["both", "direct"])

@@ -1,11 +1,26 @@
 """Scenario file validation, defaulting, and typed conversion."""
 
 import dataclasses
+import inspect
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
+from oncocontrol import (
+    CompetitionParams,
+    ControlParams,
+    CostModel,
+    FractionationPlan,
+    GrowthParams,
+    LQParams,
+    OCPSetup,
+    PiecewiseGrowthParams,
+    State,
+    solve_direct,
+    solve_fbsm,
+)
 from oncocontrol.config import (
     load_config,
     parse_config,
@@ -182,3 +197,69 @@ def test_ocp_setup_defaults():
     assert setup.n_intervals == 200
     assert setup.refine == 4
     assert setup.cost.cancer_scale == pytest.approx(70.0)
+
+
+# ---------------------------------------------------------------------------
+# schema <-> library contract: the converters and the CLI unpack validated
+# blocks by name into these callables, so names and defaults must agree
+# ---------------------------------------------------------------------------
+
+SCHEMA = json.loads(resources.files("oncocontrol").joinpath("schema.json").read_text())
+
+BLOCK_TARGETS = {
+    "dynamics": CompetitionParams,
+    "control": ControlParams,
+    "state": State,
+    "lq": LQParams,
+    "piecewise_growth": PiecewiseGrowthParams,
+    "plan": FractionationPlan,
+    "cost": CostModel,
+    "fbsm_options": solve_fbsm,
+    "direct_options": solve_direct,
+}
+
+
+def library_keywords(target) -> dict:
+    """Keyword -> default of a dataclass or a solver (whose first
+    parameter, the setup, is not part of the block)."""
+    params = list(inspect.signature(target).parameters.values())
+    if not dataclasses.is_dataclass(target):
+        params = params[1:]
+    return {p.name: p.default for p in params}
+
+
+def assert_defaults_agree(properties: dict, keywords: dict, names) -> None:
+    for name in names:
+        library = keywords[name]
+        if "default" in properties[name]:
+            assert properties[name]["default"] == library, name
+        else:
+            # absent from the schema means "not given": the library must
+            # require it or treat it as None
+            assert library is inspect.Parameter.empty or library is None, name
+
+
+@pytest.mark.parametrize("block", sorted(BLOCK_TARGETS))
+def test_schema_blocks_match_library_keywords(block):
+    schema = SCHEMA["$defs"][block]
+    keywords = library_keywords(BLOCK_TARGETS[block])
+    assert set(schema["properties"]) == set(keywords)
+    assert_defaults_agree(schema["properties"], keywords, keywords)
+    for name in schema.get("required", []):
+        assert keywords[name] is inspect.Parameter.empty, name
+
+
+@pytest.mark.parametrize(
+    "kind, target, names",
+    [
+        ("ocp", OCPSetup, ("horizon", "n_intervals", "refine")),
+        ("dose-report", OCPSetup, ("horizon", "n_intervals", "refine")),
+        ("growth", GrowthParams, [f.name for f in dataclasses.fields(GrowthParams)]),
+    ],
+)
+def test_schema_kind_fields_match_library_keywords(kind, target, names):
+    # the converters pick these fields out of a wider parameter block by
+    # name; a field the schema lacks would silently take its default
+    properties = SCHEMA["$defs"]["parameters"][kind]["properties"]
+    assert set(names) <= set(properties)
+    assert_defaults_agree(properties, library_keywords(target), names)

@@ -22,7 +22,6 @@ from oncocontrol import (
     cost,
     dose_report,
     forward_rollout,
-    hamiltonian_control,
     integrate,
     jacobian_controlled,
     objective_and_gradient,
@@ -102,12 +101,25 @@ def test_per_interval_controls_are_right_continuous():
 # optimality pieces
 # ---------------------------------------------------------------------------
 
+def _scalar_minimiser(adjoint, state, control, model):
+    """Clamped stationary point of the Hamiltonian in u, written out for
+    one (adjoint, state) pair of Python floats."""
+    (p_h, p_c), (h, c) = adjoint, state
+    raw = (
+        p_h * control.healthy_kill_coeff * h + p_c * control.cancer_kill_coeff * c
+    ) / (2.0 * model.control_weight)
+    return min(max(raw, 0.0), control.max_intensity)
+
+
 def test_hamiltonian_minimiser_clamps_to_the_box():
     model = CostModel.for_dynamics(DYN)
-    state = (6e5, 1e4)
-    assert hamiltonian_control((1e-3, 2.0), CTL, state, model) == 1.0
-    assert hamiltonian_control((-1.0, -1.0), CTL, state, model) == 0.0
-    interior = hamiltonian_control((1e-6, 1e-6), CTL, state, model)
+    adjoints = np.array([(1e-3, 2.0), (-1.0, -1.0), (1e-6, 1e-6)])
+    states = np.array([(6e5, 1e4)] * 3)
+    above, below, interior = optimal_control._clamped_minimiser(
+        adjoints, states, CTL, model
+    )
+    assert above == 1.0
+    assert below == 0.0
     expected = (1e-6 * 0.025 * 6e5 + 1e-6 * 0.189 * 1e4) / 2.0
     assert interior == pytest.approx(expected, rel=1e-12)
 
@@ -383,10 +395,10 @@ def test_pontryagin_residual_matches_scalar_reference(fbsm_solution, main_setup)
         sol = dataclasses.replace(fbsm_solution, control=control)
         expected = max(
             abs(
-                hamiltonian_control(
-                    tuple(sol.adjoints[m]), CTL, tuple(sol.states[m]), main_setup.cost
+                _scalar_minimiser(
+                    sol.adjoints[m].tolist(), sol.states[m].tolist(), CTL, main_setup.cost
                 )
-                - sol.control[i]
+                - float(sol.control[i])
             )
             for i, m in enumerate(mids)
         )
