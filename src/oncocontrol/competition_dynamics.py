@@ -1,18 +1,19 @@
 """Two-population healthy/cancer dynamics and an adaptive ODE integrator.
 
-Three right-hand sides are provided:
+One model, defined once with its Jacobian in competition_equations:
 
-  coexistence    joint crowding measured against per-population capacities,
-                 no direct interaction term
-  competition    shared carrying capacity plus a bilinear competition loss
-                 on the healthy population
-  controlled     competition dynamics with a therapy intensity u that
-                 removes healthy cells at healthy_kill_coeff*u per day and
-                 cancer cells at cancer_kill_coeff*u per day
+  h' = r_h (1 - (h + c)/K_h) h - gamma h c - lambda u h
+  c' = r_c (1 - (h + c)/K_c) c - mu u c
 
-The competition and controlled systems are one system (untreated is zero
-kill coefficients), defined once with its Jacobian in competition_equations;
-every consumer in stability_analysis and optimal_control is built from it.
+at therapy intensity u, in three parameterisations:
+
+  coexistence    K_h, K_c = healthy_capacity, cancer_capacity; no interaction
+  competition    K_h = K_c = shared_capacity, gamma = competition_coeff, u = 0
+  controlled     competition with lambda, mu = healthy_kill_coeff,
+                 cancer_kill_coeff
+
+Every field, Jacobian and rollout in stability_analysis and optimal_control
+is built from it.
 
 States are cell counts and must stay nonnegative.  The integrator is an
 embedded Dormand-Prince 5(4) pair with proportional step control.  A state
@@ -49,12 +50,13 @@ class State:
 
 @dataclass(frozen=True)
 class CompetitionParams:
-    """Growth and interaction rates for the two-population models.
+    """Growth and interaction rates of the two-population model.
 
-    healthy_capacity / cancer_capacity feed the coexistence (independent
-    niche) variant; shared_capacity feeds the competition and controlled
-    variants.  competition_coeff is the bilinear loss rate on healthy
-    cells, per cell of cancer per day.
+    The competition and controlled systems use shared_capacity as both
+    K_h and K_c; the coexistence system uses healthy_capacity and
+    cancer_capacity instead and ignores competition_coeff.
+    competition_coeff is the bilinear loss rate on healthy cells, per cell
+    of cancer per day.
     """
 
     healthy_rate: float                 # 1/day
@@ -149,9 +151,9 @@ Jacobian = Callable[[float, float, float], tuple[float, float, float, float]]
 
 
 def competition_equations(
-    rh: float, rc: float, k: float, gamma: float, lam: float, mu: float
+    rh: float, rc: float, kh: float, kc: float, gamma: float, lam: float, mu: float
 ) -> tuple[Rates, Jacobian]:
-    """Right-hand side and Jacobian of the controlled competition system.
+    """Right-hand side and Jacobian of the two-capacity model.
 
     rates(h, c, u) returns (dh/dt, dc/dt) at intensity u; jacobian(h, c, u)
     returns the state Jacobian row by row as (dh'/dh, dh'/dc, dc'/dh,
@@ -160,18 +162,18 @@ def competition_equations(
     """
 
     def rates(h: float, c: float, u: float) -> tuple[float, float]:
-        crowd = 1.0 - (h + c) / k
+        total = h + c
         return (
-            rh * crowd * h - gamma * h * c - lam * u * h,
-            rc * crowd * c - mu * u * c,
+            rh * (1.0 - total / kh) * h - gamma * h * c - lam * u * h,
+            rc * (1.0 - total / kc) * c - mu * u * c,
         )
 
     def jacobian(h: float, c: float, u: float) -> tuple[float, float, float, float]:
         return (
-            rh * (1.0 - (2.0 * h + c) / k) - gamma * c - lam * u,
-            -h * (rh / k + gamma),
-            -rc * c / k,
-            rc * (1.0 - (h + 2.0 * c) / k) - mu * u,
+            rh * (1.0 - (2.0 * h + c) / kh) - gamma * c - lam * u,
+            -h * (rh / kh + gamma),
+            -rc * c / kc,
+            rc * (1.0 - (h + 2.0 * c) / kc) - mu * u,
         )
 
     return rates, jacobian
@@ -180,49 +182,49 @@ def competition_equations(
 def equations_for(
     params: CompetitionParams, control: ControlParams | None = None
 ) -> tuple[Rates, Jacobian]:
-    """competition_equations at the given parameters; no control is untreated."""
+    """The competition system at the given parameters, K_h = K_c =
+    shared_capacity; no control is untreated."""
     lam, mu = (
         (0.0, 0.0)
         if control is None
         else (control.healthy_kill_coeff, control.cancer_kill_coeff)
     )
+    k = params.shared_capacity
     return competition_equations(
-        params.healthy_rate,
-        params.cancer_rate,
-        params.shared_capacity,
-        params.competition_coeff,
-        lam,
-        mu,
+        params.healthy_rate, params.cancer_rate, k, k, params.competition_coeff, lam, mu
     )
+
+
+def coexistence_equations(params: CompetitionParams) -> tuple[Rates, Jacobian]:
+    """The coexistence system: per-population capacities, no interaction."""
+    kh, kc = params.healthy_capacity, params.cancer_capacity
+    if kh is None or kc is None:
+        raise ConfigError("coexistence dynamics need healthy_capacity and cancer_capacity")
+    rh, rc = params.healthy_rate, params.cancer_rate
+    return competition_equations(rh, rc, kh, kc, 0.0, 0.0, 0.0)
+
+
+def _at(rates: Rates, u: float) -> Field:
+    """The field of rates at constant intensity u."""
+
+    def field(t: float, h: float, c: float) -> tuple[float, float]:
+        return rates(h, c, u)
+
+    return field
 
 
 def coexistence_field(params: CompetitionParams) -> Field:
     """Joint crowding against per-population capacities.
 
-    Both populations feel the total occupancy h + c, but each measures it
-    against its own capacity.  With equal capacities every point of the
-    line h + c = capacity is an equilibrium.
+    With equal capacities every point of the line h + c = capacity is an
+    equilibrium.
     """
-    if params.healthy_capacity is None or params.cancer_capacity is None:
-        raise ConfigError("coexistence dynamics need healthy_capacity and cancer_capacity")
-    rh, rc = params.healthy_rate, params.cancer_rate
-    kh, kc = params.healthy_capacity, params.cancer_capacity
-
-    def field(t: float, h: float, c: float) -> tuple[float, float]:
-        total = h + c
-        return (rh * (1.0 - total / kh) * h, rc * (1.0 - total / kc) * c)
-
-    return field
+    return _at(coexistence_equations(params)[0], 0.0)
 
 
 def competition_field(params: CompetitionParams) -> Field:
     """Shared capacity with a bilinear competition loss on healthy cells."""
-    rates, _ = equations_for(params)
-
-    def field(t: float, h: float, c: float) -> tuple[float, float]:
-        return rates(h, c, 0.0)
-
-    return field
+    return _at(equations_for(params)[0], 0.0)
 
 
 def controlled_field(
@@ -247,15 +249,11 @@ def controlled_field(
     u = float(intensity)
     if not (0.0 <= u <= control.max_intensity):
         raise ConfigError(f"intensity {u:g} outside [0, {control.max_intensity:g}]")
-
-    def field(t: float, h: float, c: float) -> tuple[float, float]:
-        return rates(h, c, u)
-
-    return field
+    return _at(rates, u)
 
 
 def rhs_coexistence(params: CompetitionParams, state: State) -> tuple[float, float]:
-    return coexistence_field(params)(0.0, state.healthy, state.cancer)
+    return coexistence_equations(params)[0](state.healthy, state.cancer, 0.0)
 
 
 def rhs_competition(params: CompetitionParams, state: State) -> tuple[float, float]:

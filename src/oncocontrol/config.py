@@ -136,8 +136,13 @@ def load_config(path: str | Path) -> ScenarioConfig:
         text = path.read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+    def reject(constant: str):
+        # json accepts NaN and Infinity, which no schema bound rejects
+        raise ConfigError(f"{path}: {constant} is not a JSON number")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

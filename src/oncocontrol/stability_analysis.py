@@ -12,8 +12,8 @@ analysis is silent about them.  For those points a separate simulation
 probe perturbs the state into the open quadrant, integrates for a long
 horizon and reports whether the flow escapes, returns, or stalls.
 
-The competition and therapy Jacobians come from the single definition of
-the system, competition_dynamics.competition_equations.
+Every Jacobian comes from the single definition of the system,
+competition_dynamics.competition_equations.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .competition_dynamics import (
     CompetitionParams,
     ControlParams,
     State,
+    coexistence_equations,
     coexistence_field,
     competition_field,
     controlled_field,
@@ -104,17 +105,7 @@ def classify(eigenvalues: tuple[complex, complex], zero_tol: float = 0.0) -> str
 # ---------------------------------------------------------------------------
 
 def jacobian_coexistence(params: CompetitionParams, state) -> np.ndarray:
-    if params.healthy_capacity is None or params.cancer_capacity is None:
-        raise ConfigError("coexistence Jacobian needs both capacities")
-    h, c = _coords(state)
-    rh, rc = params.healthy_rate, params.cancer_rate
-    kh, kc = params.healthy_capacity, params.cancer_capacity
-    return np.array(
-        [
-            [rh * (1.0 - (2.0 * h + c) / kh), -rh * h / kh],
-            [-rc * c / kc, rc * (1.0 - (h + 2.0 * c) / kc)],
-        ]
-    )
+    return np.reshape(coexistence_equations(params)[1](*_coords(state), 0.0), (2, 2))
 
 
 def jacobian_competition(params: CompetitionParams, state) -> np.ndarray:
@@ -226,10 +217,9 @@ def equilibria_uncontrolled(
             ),
         ]
 
-    if params.healthy_capacity is None or params.cancer_capacity is None:
-        raise ConfigError("coexistence analysis needs healthy_capacity and cancer_capacity")
+    dyn_field = coexistence_field(params)   # checks both capacities are given
     kh, kc = params.healthy_capacity, params.cancer_capacity
-    report = _reporter(coexistence_field(params), max(kh, kc), probe_nonhyperbolic)
+    report = _reporter(dyn_field, max(kh, kc), probe_nonhyperbolic)
     return [
         report("extinction", (0.0, 0.0), (complex(rc), complex(rh)), {}),
         report(

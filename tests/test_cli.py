@@ -131,6 +131,36 @@ def test_overflow_exits_two(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "config, number, constant",
+    [
+        ("competition", '"healthy": 6.3e5', '"healthy": NaN'),
+        ("competition", '"shared_capacity": 7.0e5', '"shared_capacity": Infinity'),
+        ("ocp", '"horizon": 100.0', '"horizon": Infinity'),
+    ],
+    ids=["nan-healthy", "infinite-capacity", "infinite-horizon"],
+)
+def test_non_finite_json_constants_are_config_errors(
+    tmp_path, capsys, config, number, constant
+):
+    # json.loads accepts NaN and Infinity, and no schema bound rejects them
+    text = (SHIPPED / f"{config}.json").read_text()
+    assert number in text
+    cfg = tmp_path / f"{config}.json"
+    cfg.write_text(text.replace(number, constant))
+    out = tmp_path / "out"
+    kind = json.loads(text)["kind"]
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 1
+    name = constant.split(": ")[1]
+    assert capsys.readouterr().err == (
+        f"config error: {cfg}: {name} is not a JSON number\n"
+    )
+    assert not out.exists()
+
+
 def test_stride_keeps_last_sample(tmp_path):
     out = tmp_path / "out"
     payload = growth_payload(out)
@@ -360,6 +390,20 @@ def test_dose_report_rejects_a_constant_protocol_above_max_intensity(
     assert main(["dose-report", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
     assert err == "config error: constant_intensity 1.5 outside [0, 1]\n"
+    assert not out.exists()
+
+
+def test_dose_report_rejects_duplicate_labels(tmp_path, capsys):
+    # the totals and solutions are keyed by label, so a repeated label
+    # would silently drop a scenario from the JSON summary
+    out = tmp_path / "out"
+    payload = dose_report_payload(out)
+    payload["parameters"]["labels"] = ["a", "a", "b"]
+    cfg = write_config(tmp_path, payload)
+    assert main(["dose-report", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: parameters/labels: ")
+    assert "non-unique" in err
     assert not out.exists()
 
 

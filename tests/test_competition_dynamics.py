@@ -120,6 +120,25 @@ def test_rhs_coexistence_requires_both_capacities():
         coexistence_field(shared_params(healthy_capacity=7e5))
 
 
+def test_coexistence_at_equal_capacities_is_competition_without_interaction():
+    # one model: K_h = K_c = K with competition_coeff 0 is the same system
+    # whichever parameterisation builds it, bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        k = 10.0 ** rng.uniform(3.0, 9.0)
+        p = CompetitionParams(
+            healthy_rate=rng.uniform(0.05, 5.0),
+            cancer_rate=rng.uniform(0.05, 5.0),
+            shared_capacity=k,
+            healthy_capacity=k,
+            cancer_capacity=k,
+        )
+        h, c = rng.uniform(0.0, 1.5, 2) * k
+        coexistence = coexistence_field(p)(0.0, h, c)
+        competition = competition_field(p)(0.0, h, c)
+        assert [x.hex() for x in coexistence] == [x.hex() for x in competition]
+
+
 def test_rhs_controlled_frozen_value():
     dh, dc = rhs_controlled(shared_params(), therapy_params(), NOMINAL, 0.7)
     assert dh == pytest.approx(-13450.5, rel=1e-12)

@@ -98,3 +98,86 @@ def test_shipped_configs_reproduce_pinned_bytes(tmp_path, capsys):
     }
     assert written == PINNED_SHA256
     assert stdout == PINNED_STDOUT
+
+
+# The coexistence system (per-population capacities, no interaction) is
+# used by no shipped config, so three in-test scenarios pin its bytes: a
+# takeover run, the equilibria at equal capacities (both boundary points
+# are non-hyperbolic, so the nonlinear probe integrates the field), and a
+# 3x3 phase portrait.
+COEXISTENCE_DYNAMICS = {
+    "healthy_rate": 3.0,
+    "cancer_rate": 0.6,
+    "shared_capacity": 7.0e5,
+    "healthy_capacity": 5.0e5,
+    "cancer_capacity": 7.0e5,
+}
+
+COEXISTENCE_CONFIGS = {
+    "competition": {
+        "dynamics": COEXISTENCE_DYNAMICS,
+        "system": "coexistence",
+        "initial": {"healthy": 4.0e5, "cancer": 5.0e4},
+        "t_end": 200.0,
+        "samples": 201,
+    },
+    "equilibria": {
+        "dynamics": {**COEXISTENCE_DYNAMICS, "healthy_capacity": 7.0e5},
+        "variant": "coexistence",
+        "probe_nonhyperbolic": True,
+    },
+    "phase-portrait": {
+        "dynamics": COEXISTENCE_DYNAMICS,
+        "system": "coexistence",
+        "grid": {
+            "healthy": {"min": 1.0e5, "max": 6.0e5, "count": 3},
+            "cancer": {"min": 1.0e5, "max": 6.0e5, "count": 3},
+        },
+        "t_end": 50.0,
+        "samples": 51,
+    },
+}
+
+COEXISTENCE_SHA256 = {
+    "competition/competition.csv": (
+        "f2e452f0b820cda08f7868f5f66add87ecb31d103abff0e98a818ece3094d1b3"
+    ),
+    "competition/competition.json": (
+        "a01234dfd66dcff72f50e348cfb382fdb87961a29dba34eca8dfd8a28aac74d4"
+    ),
+    "equilibria/equilibria.csv": (
+        "668892c3bb0140e17360bdcdfe4fccdc87039d27a2a718bd4676fe58277a2212"
+    ),
+    "equilibria/equilibria.json": (
+        "8cd8a83e1b495f2a6966de512e91d152ede6bd50e3b1e017c296ebbe930833bc"
+    ),
+    "phase-portrait/phase_portrait.csv": (
+        "0af2fe2ddf2774c404eed970cd4ec36cfd0b8b68a2b2cde0b0bd6ff712823875"
+    ),
+    "phase-portrait/phase_portrait.json": (
+        "4ba4f58a3d3c40aa98641af158f913109693fff52e3a633c1f8131738b134794"
+    ),
+}
+
+COEXISTENCE_STDOUT = {
+    "competition": "competition: coexistence ended at healthy 5.49803e-91, cancer 700000",
+    "equilibria": "equilibria: 3 points, stable sinks: none",
+    "phase-portrait": "phase-portrait: 9 trajectories written",
+}
+
+
+def test_coexistence_runs_reproduce_pinned_bytes(tmp_path, capsys):
+    stdout = {}
+    for kind, parameters in COEXISTENCE_CONFIGS.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+        out = tmp_path / "out" / kind
+        assert main([kind, "--config", str(path), "--out", str(out)]) == 0, kind
+        stdout[kind] = capsys.readouterr().out.rstrip("\n")
+    written = {
+        p.relative_to(tmp_path / "out").as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in sorted((tmp_path / "out").rglob("*"))
+        if p.is_file()
+    }
+    assert written == COEXISTENCE_SHA256
+    assert stdout == COEXISTENCE_STDOUT

@@ -24,6 +24,7 @@ from oncocontrol import (
     jacobian_competition,
     jacobian_controlled,
 )
+from oncocontrol.competition_dynamics import competition_equations
 from oncocontrol.errors import ConfigError
 
 
@@ -99,12 +100,26 @@ def test_jacobians_match_finite_differences():
         delta = 1e-6 * k
         h, c = rng.uniform(1e-3, 1.0, 2) * k
         u = rng.uniform(0.0, 1.0)
+        # the general model: K_h != K_c together with interaction and therapy
+        rates, jacobian = competition_equations(
+            p.healthy_rate,
+            p.cancer_rate,
+            p.healthy_capacity,
+            p.cancer_capacity,
+            p.competition_coeff,
+            lam,
+            mu,
+        )
         cases = [
             (jacobian_coexistence(p, (h, c)), coexistence_field(p)),
             (jacobian_competition(p, (h, c)), competition_field(p)),
             (
                 jacobian_controlled(p, ctl, (h, c), u),
                 controlled_field(p, ctl, lambda t, _u=u: _u),
+            ),
+            (
+                np.reshape(jacobian(h, c, u), (2, 2)),
+                lambda t, x, y, _u=u: rates(x, y, _u),
             ),
         ]
         for jac, field in cases:
