@@ -3,10 +3,11 @@
 A scenario file is a single JSON object with a ``kind`` discriminator, an
 optional ``seed`` and ``output`` block, and a kind-specific ``parameters``
 block.  The shipped schema.json is the authority on field names, bounds
-and defaults; this module validates against it, fills in the defaults it
-declares, and converts the result into the typed parameter objects of the
-library modules.  Unknown keys are rejected everywhere, so a typo fails
-loudly instead of silently running with a default.
+and defaults; this module validates against it with a jsonschema
+validator that fills in the defaults it declares as it descends, and
+converts the result into the typed parameter objects of the library
+modules.  Unknown keys are rejected everywhere, so a typo fails loudly
+instead of silently running with a default.
 
 The converters unpack each validated block by field name and restate no
 default: the schema owns the defaults, and a key missing from a partial
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from importlib import resources
@@ -38,41 +40,35 @@ def _schema() -> dict:
     return json.loads(text)
 
 
-def _resolve_ref(ref: str, root: dict) -> dict:
-    if not ref.startswith("#/"):
-        raise ConfigError(f"unsupported schema reference {ref!r}")
-    node = root
-    for part in ref[2:].split("/"):
-        node = node[part]
-    return node
+_BASE = jsonschema.Draft202012Validator
 
 
-def _apply_defaults(instance, schema: dict, root: dict) -> None:
-    """Fill missing keys with schema defaults, recursing into objects."""
-    if "$ref" in schema:
-        schema = _resolve_ref(schema["$ref"], root)
-    if not isinstance(instance, dict):
-        if isinstance(instance, list):
-            item_schema = schema.get("items")
-            if isinstance(item_schema, dict):
-                for element in instance:
-                    _apply_defaults(element, item_schema, root)
-        return
-    for name, sub in schema.get("properties", {}).items():
-        resolved = _resolve_ref(sub["$ref"], root) if "$ref" in sub else sub
-        if name not in instance and "default" in sub:
-            instance[name] = copy.deepcopy(sub["default"])
-        elif name not in instance and "default" in resolved:
-            instance[name] = copy.deepcopy(resolved["default"])
-        if name in instance:
-            _apply_defaults(instance[name], sub, root)
+def _properties_with_defaults(validator, properties, instance, schema):
+    # jsonschema's recipe for defaults: fill each missing property before
+    # descending, so a defaulted block such as "fbsm": {} is filled in turn
+    if validator.is_type(instance, "object"):
+        for name, sub in properties.items():
+            if "default" in sub and name not in instance:
+                instance[name] = copy.deepcopy(sub["default"])
+    yield from _BASE.VALIDATORS["properties"](validator, properties, instance, schema)
+
+
+def _finite_type(validator, types, instance, schema):
+    # load_config rejects NaN and Infinity literals as it parses, but a dict
+    # handed to parse_config can still hold them, and no schema bound does
+    if isinstance(instance, float) and not math.isfinite(instance):
+        yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+    else:
+        yield from _BASE.VALIDATORS["type"](validator, types, instance, schema)
+
+
+_Validator = jsonschema.validators.extend(
+    _BASE, {"properties": _properties_with_defaults, "type": _finite_type}
+)
 
 
 def _first_error(errors) -> str:
-    picked = sorted(errors, key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
-    if not picked:
-        return "invalid configuration"
-    err = picked[0]
+    err = min(errors, key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
     where = "/".join(str(p) for p in err.absolute_path) or "<root>"
     return f"{where}: {err.message}"
 
@@ -98,23 +94,16 @@ class ScenarioConfig:
 def parse_config(raw: dict) -> ScenarioConfig:
     """Validate a parsed JSON object and fill in all defaults."""
     schema = _schema()
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = list(validator.iter_errors(raw))
+    data = copy.deepcopy(raw)
+    errors = list(_Validator(schema).iter_errors(data))
     if errors:
         raise ConfigError(_first_error(errors))
 
-    data = copy.deepcopy(raw)
-    _apply_defaults(data, schema, schema)
-
     kind = data["kind"]
     param_schema = {"$ref": f"#/$defs/parameters/{kind}", "$defs": schema["$defs"]}
-    param_validator = jsonschema.Draft202012Validator(param_schema)
-    errors = list(param_validator.iter_errors(data["parameters"]))
+    errors = list(_Validator(param_schema).iter_errors(data["parameters"]))
     if errors:
         raise ConfigError(f"parameters/{_first_error(errors)}")
-    _apply_defaults(
-        data["parameters"], schema["$defs"]["parameters"][kind], schema
-    )
 
     out = data["output"]
     return ScenarioConfig(

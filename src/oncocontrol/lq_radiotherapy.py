@@ -155,8 +155,6 @@ def _segment_edges(plan: FractionationPlan, t_end: float) -> list[float]:
         for edge in (start, start + plan.session_duration):
             if 0.0 < edge < t_end:
                 edges.add(edge)
-            elif abs(edge - t_end) < 1e-12 or abs(edge) < 1e-12:
-                edges.add(min(max(edge, 0.0), t_end))
     return sorted(edges)
 
 

@@ -713,9 +713,7 @@ def dose_report(
 
     rows: list[DoseRow] = []
     for label, sol in zip(labels, solutions):
-        n = len(sol.control)
-        width = horizon / n
-        total = float(np.sum(sol.control) * width)
+        width = horizon / len(sol.control)
         for i, ui in enumerate(sol.control):
             rows.append(
                 DoseRow(
@@ -725,7 +723,7 @@ def dose_report(
                     end=(i + 1) * width,
                     intensity=float(ui),
                     interval_dose=float(ui) * width,
-                    total_dose=total,
+                    total_dose=sol.total_dose,
                 )
             )
         if constant_intensity is not None:

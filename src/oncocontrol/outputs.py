@@ -5,6 +5,11 @@ the target directory and is moved into place, so a crash never leaves a
 half-written artifact.  Floats are serialised with repr, the shortest
 string that round-trips the exact double, which keeps reruns
 byte-identical across platforms.
+
+JSON payloads are plain Python values (dicts with string keys, lists,
+str, int, float, bool, None) handed straight to json.dumps; a numpy
+float64 passes as the float subclass it is and is written with the same
+repr digits.
 """
 
 from __future__ import annotations
@@ -22,17 +27,15 @@ import numpy as np
 from .errors import ConfigError
 
 
-def format_value(value) -> str:
-    # numpy scalars repr as np.float64(...); unwrap before formatting
+def format_value(value):
+    """A CSV cell for csv.writer, which writes a float by repr and None as
+    an empty cell.  Numpy scalars are unwrapped to the Python values whose
+    repr the output promises, and booleans are spelled true/false."""
     if isinstance(value, np.generic):
         value = value.item()
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if value is None:
-        return ""
-    return str(value)
+    return value
 
 
 def _umask() -> int:
@@ -73,26 +76,6 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> No
     _atomic_write_text(path, buffer.getvalue())
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return {"real": obj.real, "imag": obj.imag}
-    if isinstance(obj, Path):
-        return str(obj)
-    return obj
-
-
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     _atomic_write_text(path, text + "\n")

@@ -3,6 +3,7 @@
 import dataclasses
 import inspect
 import json
+import math
 from importlib import resources
 from pathlib import Path
 
@@ -60,6 +61,38 @@ def test_defaults_fill_in():
     assert cfg.parameters["samples"] == 501
     assert cfg.parameters["start_time"] == 0.0
     assert cfg.parameters["laws"] == ["exponential", "gompertz", "verhulst"]
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize(
+    "block, given",
+    [(None, {}), ({}, {}), ({"tol": 1e-8}, {"tol": 1e-8})],
+    ids=["absent", "empty", "partial"],
+)
+def test_defaulted_block_fills_its_missing_keys(block, given):
+    raw = json.loads((CONFIGS / "ocp.json").read_text())
+    if block is not None:
+        raw["parameters"]["fbsm"] = block
+    cfg = parse_config(raw)
+    properties = SCHEMA["$defs"]["fbsm_options"]["properties"]
+    defaults = {name: p["default"] for name, p in properties.items()}
+    assert cfg.parameters["fbsm"] == {**defaults, **given}
+    assert raw["parameters"].get("fbsm") == block  # the caller's dict is not filled
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "infinity"])
+def test_non_finite_numbers_in_a_dict_are_config_errors(value):
+    # load_config rejects the JSON literals while parsing; a dict handed to
+    # parse_config can still hold them
+    raw = json.loads((CONFIGS / "competition.json").read_text())
+    raw["parameters"]["dynamics"]["shared_capacity"] = value
+    with pytest.raises(ConfigError) as info:
+        parse_config(raw)
+    assert str(info.value) == (
+        f"parameters/dynamics/shared_capacity: {value!r} is not a finite number"
+    )
 
 
 def test_unknown_envelope_key_rejected():
@@ -164,8 +197,7 @@ def test_cost_model_merges_with_derived_scales():
 
 
 def test_shipped_example_configs_validate():
-    config_dir = Path(__file__).resolve().parent.parent / "configs"
-    paths = sorted(config_dir.glob("*.json"))
+    paths = sorted(CONFIGS.glob("*.json"))
     assert len(paths) == 8
     kinds = {load_config(path).kind for path in paths}
     assert kinds == {

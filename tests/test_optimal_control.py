@@ -530,6 +530,23 @@ def test_dose_report_table():
         dose_report([])
 
 
+def test_dose_report_totals_are_the_solution_totals():
+    # for this schedule sum(u) * (T / n) and the solution's sum(u) * T / n
+    # differ in the last bit; the report must write one total, not two
+    setup = OCPSetup(
+        dynamics=DYN, control=CTL, initial=NOMINAL,
+        horizon=5.0, n_intervals=5, refine=2,
+    )
+    u = np.linspace(0.0, 1.0, 5) ** 1.9
+    sol = optimal_control._solution(
+        setup, u, False,
+        solver=SOLVER_DIRECT, converged=True, iterations=0, final_update_norm=0.0,
+    )
+    assert float(np.sum(u) * (5.0 / 5)) != sol.total_dose
+    rows = dose_report([sol])
+    assert {r.total_dose for r in rows} == {sol.total_dose}
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
