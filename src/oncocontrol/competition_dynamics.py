@@ -16,10 +16,12 @@ Every field, Jacobian and rollout in stability_analysis and optimal_control
 is built from it.
 
 States are cell counts and must stay nonnegative.  The integrator is an
-embedded Dormand-Prince 5(4) pair with proportional step control.  A state
-component that steps slightly below zero (within 1e3*atol) is clipped to
-exactly zero; a larger undershoot aborts with NumericalError, since that
-signals a tolerance problem rather than roundoff at extinction.
+embedded Dormand-Prince 5(4) pair with proportional step control, written
+for the (healthy, cancer) pair the model integrates; solve_ode runs a
+problem of one or two components on the same stepper.  A state component
+that steps slightly below zero (within 1e3*atol) is clipped to exactly
+zero; a larger undershoot aborts with NumericalError, since that signals a
+tolerance problem rather than roundoff at extinction.
 """
 
 from __future__ import annotations
@@ -140,9 +142,10 @@ class Trajectory:
 # right-hand sides
 #
 # The *_field factories return plain float closures f(t, h, c) -> (dh, dc),
-# which integrate hands straight to the float DP5 stepper; solve_ode adapts
-# an array field onto the same stepper.  The rhs_* wrappers are the
-# one-shot variants for callers holding State objects.
+# the shape the DP5 pair stepper calls; integrate hands them to it
+# directly, and solve_ode wraps an array field of one or two components
+# into that shape.  The rhs_* wrappers are the one-shot variants for
+# callers holding State objects.
 # ---------------------------------------------------------------------------
 
 Field = Callable[[float, float, float], tuple[float, float]]
@@ -304,37 +307,17 @@ _GROW_CAP = 5.0
 _SAFETY = 0.9
 
 
-def _clip_or_fail(y: tuple[float, ...], clip_floor: float) -> tuple[float, ...]:
-    """Zero out roundoff-negative components; fail on real ones."""
-    if min(y) >= 0.0:
-        return y
-    clipped = []
-    for i, v in enumerate(y):
-        if v < 0.0:
-            if v < clip_floor:
-                raise NumericalError(
-                    f"state component {i} reached {v:.6g}, below clip floor {clip_floor:.6g}"
-                )
-            v = 0.0
-        clipped.append(v)
-    return tuple(clipped)
-
-
-def _finite(vector: Sequence[float]) -> bool:
-    return all(map(math.isfinite, vector))
-
-
 def _dormand_prince(
-    field: Callable[..., Sequence[float]],
-    y0: Sequence[float],
+    field: Field,
+    y0: tuple[float, float],
     t_span: tuple[float, float],
     rtol: float,
     atol: float,
     t_eval: Sequence[float] | None,
     nonnegative: bool,
-) -> tuple[list[float], list[tuple[float, ...]]]:
-    """The one DP5 stepper: field(t, *y) returns dy/dt as a sequence of
-    floats, and the state is a tuple of Python floats throughout.
+) -> tuple[list[float], list[tuple[float, float]]]:
+    """The one DP5 stepper, written for the state pair (yh, yc):
+    field(t, h, c) returns (dh, dc) as floats.
 
     Returns the recorded times and states as lists; see solve_ode for the
     sampling rules.
@@ -342,8 +325,7 @@ def _dormand_prince(
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ConfigError("t_span must satisfy t1 > t0")
-    y = tuple(y0)
-    n = len(y)
+    yh, yc = y0
 
     targets: list[float] | None = None
     if t_eval is not None:
@@ -358,22 +340,17 @@ def _dormand_prince(
     clip_floor = -1e3 * atol
 
     times: list[float] = []
-    states: list[tuple[float, ...]] = []
+    states: list[tuple[float, float]] = []
     next_target = 0
 
-    def record(t: float, yv: tuple[float, ...]) -> None:
-        times.append(t)
-        states.append(yv)
-
     t = t0
-    if targets is None:
-        record(t, y)
-    elif targets and abs(targets[0] - t0) <= 1e-12:
-        record(t0, y)
+    if targets is None or (targets and abs(targets[0] - t0) <= 1e-12):
+        times.append(t0)
+        states.append((yh, yc))
         next_target = 1
 
-    k1 = field(t, *y)
-    if not _finite(k1):
+    kh1, kc1 = field(t, yh, yc)
+    if not (math.isfinite(kh1) and math.isfinite(kc1)):
         raise NumericalError("right-hand side not finite at initial state")
     h = span / 100.0
 
@@ -391,59 +368,60 @@ def _dormand_prince(
         if h < min_step:
             raise NumericalError(f"step size underflow near t = {t:.6g}")
 
-        k2 = field(t + _C2 * h, *[yi + h * (_A21 * a) for yi, a in zip(y, k1)])
-        k3 = field(
+        kh2, kc2 = field(t + _C2 * h, yh + h * (_A21 * kh1), yc + h * (_A21 * kc1))
+        kh3, kc3 = field(
             t + _C3 * h,
-            *[yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)],
+            yh + h * (_A31 * kh1 + _A32 * kh2),
+            yc + h * (_A31 * kc1 + _A32 * kc2),
         )
-        k4 = field(
+        kh4, kc4 = field(
             t + _C4 * h,
-            *[
-                yi + h * (_A41 * a + _A42 * b + _A43 * c)
-                for yi, a, b, c in zip(y, k1, k2, k3)
-            ],
+            yh + h * (_A41 * kh1 + _A42 * kh2 + _A43 * kh3),
+            yc + h * (_A41 * kc1 + _A42 * kc2 + _A43 * kc3),
         )
-        k5 = field(
+        kh5, kc5 = field(
             t + _C5 * h,
-            *[
-                yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-            ],
+            yh + h * (_A51 * kh1 + _A52 * kh2 + _A53 * kh3 + _A54 * kh4),
+            yc + h * (_A51 * kc1 + _A52 * kc2 + _A53 * kc3 + _A54 * kc4),
         )
-        k6 = field(
+        kh6, kc6 = field(
             t + h,
-            *[
-                yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)
-            ],
+            yh + h * (_A61 * kh1 + _A62 * kh2 + _A63 * kh3 + _A64 * kh4 + _A65 * kh5),
+            yc + h * (_A61 * kc1 + _A62 * kc2 + _A63 * kc3 + _A64 * kc4 + _A65 * kc5),
         )
-        y_new = tuple([
-            yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-            for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6)
-        ])
-        k7 = field(t + h, *y_new)
+        nh = yh + h * (_B1 * kh1 + _B3 * kh3 + _B4 * kh4 + _B5 * kh5 + _B6 * kh6)
+        nc = yc + h * (_B1 * kc1 + _B3 * kc3 + _B4 * kc4 + _B5 * kc5 + _B6 * kc6)
+        kh7, kc7 = field(t + h, nh, nc)
 
-        if not (_finite(y_new) and _finite(k7)):
+        if not (math.isfinite(nh) and math.isfinite(nc)
+                and math.isfinite(kh7) and math.isfinite(kc7)):
             raise NumericalError(f"non-finite state near t = {t:.6g}")
 
-        # RMS of the error over the tolerance scale, as the mean of squares
-        total = 0.0
-        for yi, yn, a, c, d, e, f, g in zip(y, y_new, k1, k3, k4, k5, k6, k7):
-            err = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-            q = err / (atol + rtol * max(abs(yi), abs(yn)))
-            total += q * q
-        norm = math.sqrt(total / n)
+        # RMS of the error over the tolerance scale
+        eh = h * (_E1 * kh1 + _E3 * kh3 + _E4 * kh4 + _E5 * kh5 + _E6 * kh6 + _E7 * kh7)
+        ec = h * (_E1 * kc1 + _E3 * kc3 + _E4 * kc4 + _E5 * kc5 + _E6 * kc6 + _E7 * kc7)
+        qh = eh / (atol + rtol * max(abs(yh), abs(nh)))
+        qc = ec / (atol + rtol * max(abs(yc), abs(nc)))
+        norm = math.sqrt((qh * qh + qc * qc) / 2.0)
 
         if norm <= 1.0:
-            t_new = t + h
             if nonnegative:
-                y_new = _clip_or_fail(y_new, clip_floor)
-            t, y, k1 = t_new, y_new, k7
+                # zero out roundoff-negative components; fail on real ones
+                for i, v in enumerate((nh, nc)):
+                    if v < clip_floor:
+                        raise NumericalError(
+                            f"state component {i} reached {v:.6g}, "
+                            f"below clip floor {clip_floor:.6g}"
+                        )
+                nh, nc = max(nh, 0.0), max(nc, 0.0)
+            t, yh, yc, kh1, kc1 = t + h, nh, nc, kh7, kc7
             if targets is None:
-                record(t, y)
+                times.append(t)
+                states.append((yh, yc))
             else:
                 while next_target < len(targets) and targets[next_target] <= t + 1e-12:
-                    record(targets[next_target], y)
+                    times.append(targets[next_target])
+                    states.append((yh, yc))
                     next_target += 1
 
         factor = _GROW_CAP if norm == 0.0 else min(
@@ -465,26 +443,33 @@ def solve_ode(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate y' = field(t, y) over t_span, returning (times, states).
 
-    field takes and returns 1-D arrays; it is adapted onto the float
-    stepper that integrate uses, one array round trip per evaluation.
-    With t_eval given, the step size is capped so the solver lands exactly
-    on every requested time and only those samples are returned; otherwise
-    every accepted step is recorded.  t_eval must be strictly increasing
-    and contained in t_span.
+    y0 has one or two components, and field takes and returns 1-D arrays
+    of that length (or a scalar for every component).  It runs on the
+    pair stepper that integrate uses: two components are its two lanes;
+    one component rides both, the field called once for the pair, so the
+    lanes stay equal and (q*q + q*q)/2 == q*q gives the steps, samples
+    and errors of a one-lane stepper.  With t_eval given, the step
+    size is capped so the solver lands exactly on every requested time
+    and only those samples are returned; otherwise every accepted step is
+    recorded.  t_eval must be strictly increasing and contained in t_span.
     """
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1 or y.size == 0:
         raise ConfigError("y0 must be one-dimensional and nonempty")
+    n = y.size
+    if n > 2:
+        raise ConfigError(f"solve_ode takes one or two components, got {n}")
 
-    def scalar_field(t: float, *yv: float) -> list[float]:
-        # a field may return a scalar for every component, as numpy allows
-        dy = np.asarray(field(t, np.array(yv)), dtype=float)
-        return np.broadcast_to(dy, y.shape).tolist()
+    def pair_field(t: float, h: float, c: float) -> tuple[float, float]:
+        dy = np.asarray(field(t, np.array((h, c)[:n])), dtype=float)
+        lanes = np.broadcast_to(dy, (n,)).tolist()
+        return lanes[0], lanes[-1]
 
     times, states = _dormand_prince(
-        scalar_field, y.tolist(), t_span, rtol, atol, t_eval, nonnegative
+        pair_field, (float(y[0]), float(y[-1])), t_span, rtol, atol, t_eval, nonnegative
     )
-    return np.asarray(times), np.asarray(states)
+    # the reshape keeps an empty t_eval's result two-dimensional
+    return np.asarray(times), np.asarray(states).reshape(-1, 2)[:, :n]
 
 
 def integrate(

@@ -249,10 +249,6 @@ def equilibria_constant_control(
     competition coefficient is positive) the interior point, which is
     flagged infeasible when a coordinate is negative.
     """
-    if not (0.0 <= intensity <= control.max_intensity):
-        raise ConfigError(
-            f"intensity {intensity:g} outside [0, {control.max_intensity:g}]"
-        )
     rh, rc = params.healthy_rate, params.cancer_rate
     k = params.shared_capacity
     gamma = params.competition_coeff

@@ -1,5 +1,6 @@
 """Coupled two-population fields and the adaptive integrator."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -228,6 +229,55 @@ def test_negatives_allowed_when_requested():
         lambda t, y: np.array([-1.0]), [1.0], (0.0, 2.0), nonnegative=False
     )
     assert states[-1, 0] == pytest.approx(-1.0, abs=1e-9)
+
+
+def test_roundoff_clipping_is_per_component():
+    # with two components only the lane that undershoots is zeroed, and a
+    # real undershoot names that lane
+    def field(t, y):
+        return np.array([0.0, -1.0])
+
+    _, states = solve_ode(field, [0.5, 1.0], (0.0, 1.0 + 1e-10))
+    assert np.all(states[:, 0] == 0.5)
+    assert states[-1, 1] == 0.0
+    with pytest.raises(NumericalError, match="state component 1 reached"):
+        solve_ode(field, [0.5, 1.0], (0.0, 2.0))
+
+
+def test_solve_ode_takes_one_or_two_components():
+    with pytest.raises(ConfigError):
+        solve_ode(lambda t, y: -y, [1.0, 1.0, 1.0], (0.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "t_eval, samples, digest",
+    [
+        (
+            np.linspace(0.0, 50.0, 51),
+            51,
+            "bf5b5eb9ebfdbd159d16d618c49ed2957f811f0bd25df95ae58fa0d1733ba701",
+        ),
+        (
+            None,
+            602,
+            "7226a0d0a0ebbe3d7f9f07224958698fb03761fb22b26e791c33f03c49321b84",
+        ),
+    ],
+)
+def test_one_component_run_bytes_are_pinned(t_eval, samples, digest):
+    # the logistic run of acceptance criterion 02, pinned as a one-lane
+    # stepper writes it: a one-component problem rides both lanes of the
+    # pair stepper and must give the same bytes
+    times, states = solve_ode(
+        lambda t, y: 0.6 * y * (1.0 - y / 1.5e9),
+        [1.0],
+        (0.0, 50.0),
+        rtol=1e-10,
+        atol=1e-9,
+        t_eval=t_eval,
+    )
+    assert states.shape == (samples, 1)
+    assert hashlib.sha256(times.tobytes() + states.tobytes()).hexdigest() == digest
 
 
 def test_nonfinite_field_raises():
