@@ -330,9 +330,11 @@ def _dormand_prince(
     targets: list[float] | None = None
     if t_eval is not None:
         targets = [float(t) for t in t_eval]
+        if not targets:
+            raise ConfigError("t_eval must hold at least one time")
         if any(b <= a for a, b in zip(targets, targets[1:])):
             raise ConfigError("t_eval must be strictly increasing")
-        if targets and (targets[0] < t0 - 1e-12 or targets[-1] > t1 + 1e-12):
+        if targets[0] < t0 - 1e-12 or targets[-1] > t1 + 1e-12:
             raise ConfigError("t_eval must lie within t_span")
 
     span = t1 - t0
@@ -344,7 +346,7 @@ def _dormand_prince(
     next_target = 0
 
     t = t0
-    if targets is None or (targets and abs(targets[0] - t0) <= 1e-12):
+    if targets is None or abs(targets[0] - t0) <= 1e-12:
         times.append(t0)
         states.append((yh, yc))
         next_target = 1
@@ -451,7 +453,8 @@ def solve_ode(
     and errors of a one-lane stepper.  With t_eval given, the step
     size is capped so the solver lands exactly on every requested time
     and only those samples are returned; otherwise every accepted step is
-    recorded.  t_eval must be strictly increasing and contained in t_span.
+    recorded.  t_eval must be nonempty, strictly increasing and contained
+    in t_span.
     """
     y = np.asarray(y0, dtype=float)
     if y.ndim != 1 or y.size == 0:
@@ -468,8 +471,7 @@ def solve_ode(
     times, states = _dormand_prince(
         pair_field, (float(y[0]), float(y[-1])), t_span, rtol, atol, t_eval, nonnegative
     )
-    # the reshape keeps an empty t_eval's result two-dimensional
-    return np.asarray(times), np.asarray(states).reshape(-1, 2)[:, :n]
+    return np.asarray(times), np.asarray(states)[:, :n]
 
 
 def integrate(

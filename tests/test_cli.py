@@ -312,6 +312,8 @@ def test_ocp_run_cross_validates(tmp_path):
 
 
 def test_ocp_nonconvergence_exits_three_but_writes(tmp_path, capsys):
+    # on a 20-day horizon the optimum is u = 1 throughout, which the first
+    # projected step reaches exactly; 50 days need 14 steps
     out = tmp_path / "out"
     cfg = write_config(
         tmp_path,
@@ -322,9 +324,9 @@ def test_ocp_nonconvergence_exits_three_but_writes(tmp_path, capsys):
                 "dynamics": DYNAMICS,
                 "control": CONTROL,
                 "initial": {"healthy": 6.3e5, "cancer": 0.7e5},
-                "horizon": 20.0,
+                "horizon": 50.0,
                 "n_intervals": 20,
-                "refine": 2,
+                "refine": 4,
                 "solver": "direct",
                 "direct": {"max_iter": 1},
             },
@@ -566,7 +568,7 @@ def test_traced_names_resolve():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # only solve_direct needs L-BFGS-B; every other kind starts without it
+    # no kind uses scipy, so importing the command line must not load it
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     probe = "import sys, oncocontrol.cli; print('scipy.optimize' in sys.modules)"
@@ -574,3 +576,54 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+NO_SCIPY_PROBE = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, NoScipy())
+from oncocontrol.cli import main
+
+sys.exit(main(["ocp", "--config", sys.argv[1]]) or main(["dose-report", "--config", sys.argv[2]]))
+"""
+
+
+def test_ocp_and_dose_report_run_without_scipy(tmp_path):
+    ocp_out, report_out = tmp_path / "ocp", tmp_path / "report"
+    ocp_cfg = write_config(
+        tmp_path,
+        {
+            "kind": "ocp",
+            "output": {"directory": str(ocp_out)},
+            "parameters": {
+                "dynamics": DYNAMICS,
+                "control": CONTROL,
+                "initial": {"healthy": 6.3e5, "cancer": 0.7e5},
+                "horizon": 20.0,
+                "n_intervals": 20,
+                "refine": 2,
+                "solver": "both",
+            },
+        },
+        name="ocp.json",
+    )
+    report_cfg = write_config(tmp_path, dose_report_payload(report_out), name="report.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    result = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_PROBE, str(ocp_cfg), str(report_cfg)],
+        env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in ocp_out.iterdir()) == [
+        "ocp.json", "ocp_direct.csv", "ocp_indirect.csv"
+    ]
+    assert sorted(p.name for p in report_out.iterdir()) == [
+        "dose_report.csv", "dose_report.json"
+    ]

@@ -212,6 +212,20 @@ def test_t_eval_validation():
         solve_ode(lambda t, y: -y, [1.0], (1.0, 1.0))
 
 
+def test_empty_t_eval_is_rejected_before_any_step():
+    calls = []
+
+    def field(t, h, c):
+        calls.append(t)
+        return -h, -c
+
+    with pytest.raises(ConfigError, match="t_eval"):
+        integrate(field, State(6.3e5, 7e4), (0.0, 10.0), t_eval=[])
+    with pytest.raises(ConfigError, match="t_eval"):
+        solve_ode(lambda t, y: calls.append(t) or -y, [1.0, 2.0], (0.0, 1.0), t_eval=[])
+    assert calls == []
+
+
 def test_roundoff_negatives_clip_to_zero():
     # constant decay overshoots zero by 1e-10 at the horizon, which is
     # within the clip window for the default atol

@@ -374,6 +374,17 @@ def test_direct_reference_solve(direct_solution):
     assert np.all(history[1:] <= history[:-1] * (1.0 + 1e-9))
 
 
+def test_direct_stops_on_the_projected_gradient(main_setup, direct_solution):
+    sol = direct_solution
+    u = sol.control
+    objective, grad = objective_and_gradient(main_setup, u)
+    projected = np.clip(u - grad, 0.0, CTL.max_intensity) - u
+    assert float(np.max(np.abs(projected))) == sol.final_update_norm
+    assert sol.final_update_norm < 1e-6
+    assert sol.objective_history[-1] == sol.objective == objective
+    assert sol.message == ""
+
+
 def test_solvers_agree(fbsm_solution, direct_solution):
     ja, jb = fbsm_solution.objective, direct_solution.objective
     assert abs(ja - jb) / min(ja, jb) < 1e-6

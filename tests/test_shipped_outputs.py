@@ -32,10 +32,10 @@ PINNED_SHA256 = {
         "886fd2cd66c7e21acd0579b5c4a85208374c4a9e41c8b7fec1a269d366e3be50"
     ),
     "dose_report/dose_report.csv": (
-        "57c209f0aaa5d0dbcd5f6daf3fe994c69d609f399613ec82bfef4498db441bed"
+        "d8afcc99f866fb4116455913c7ea5f1d546d09cce286b42e06ad533149cf11b1"
     ),
     "dose_report/dose_report.json": (
-        "e19e15836fe4d5ff3941581838ee237c86dcc4dc797137ea43c96ab9b8526603"
+        "dfabc0d930658f944e57fabc76e4e741d90db2f4533aded169288ec2eb0a9270"
     ),
     "equilibria/equilibria.csv": (
         "9ad8898a75716b48b4e50fe5ac5b7159f37ab45cf43e84240cbdefa354471b12"
@@ -56,10 +56,10 @@ PINNED_SHA256 = {
         "fa0505150ed6c98618caa0cafae4c29da1b1547f9a77200a0a339f0d2b2ebffc"
     ),
     "ocp/ocp.json": (
-        "203215d50cae4db34183486a7e2803fc99c6e2c3e3d5a56816e8cafa9bc0a358"
+        "3aca5babcd68cd37a8ca8ba50252bcd09c3d47b7e053976af3ce1f1b58e9db26"
     ),
     "ocp/ocp_direct.csv": (
-        "e540c9517a3b6da5cdd25f4c47562b792ae7a760e539b8caaf1b6b9d943239ba"
+        "0b9f867ce9a6b3e1ba0a910ea39b570425830903fd440ae05e47ce7bcabb946e"
     ),
     "ocp/ocp_indirect.csv": (
         "42f110805f23252149c7c8a9d6b1a0f4df6bb136a34340ee5f1f39a7ad43c990"
