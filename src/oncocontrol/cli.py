@@ -46,7 +46,7 @@ from .config import (
     state_from,
 )
 from .errors import ConfigError, NumericalError
-from .lq_radiotherapy import simulate_fractionated
+from .lq_radiotherapy import session_pieces, simulate_fractionated
 from .optimal_control import (
     OCPSetup,
     OCPSolution,
@@ -245,9 +245,7 @@ def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
     cured = plan.eradication_threshold is not None and final.cancer == 0.0
     rate = plan.effective_dose_rate
     delivered = sum(
-        rate * max(0.0, min(p["t_end"], s + plan.session_duration) - s)
-        for s in plan.session_starts
-        if s < p["t_end"]
+        rate * (b - a) for a, b, s in session_pieces(plan, p["t_end"]) if s is not None
     )
 
     files = _write_outputs(

@@ -15,18 +15,25 @@ healthy cells are the remainder ("competition" regime).  During an
 irradiation session growth is suspended and both compartments decay by the
 exact in-session solution of the linear-quadratic law at the session's
 dose rate.
+
+session_pieces is the one session timeline, walked by both the simulator
+and the command line's dose sum.  Session s spans the half-open
+[s - EDGE_SLACK, s + duration - EDGE_SLACK), so a gap of at most EDGE_SLACK
+days before a session, as decimal edges leave, is charged to that session.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .competition_dynamics import Trajectory
 from .errors import ConfigError
+
+# days by which session edges may miss each other and still meet
+EDGE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class FractionationPlan:
         gaps = [
             b - a for a, b in zip(self.session_starts, self.session_starts[1:])
         ]
-        if gaps and min(gaps) < self.session_duration:
+        if gaps and min(gaps) < self.session_duration - EDGE_SLACK:
             raise ConfigError("sessions overlap: gap shorter than session_duration")
         if self.dose_rate is None and self.session_dose is None:
             raise ConfigError("plan needs dose_rate or session_dose")
@@ -148,14 +155,23 @@ class FractionationPlan:
         return self.session_starts[-1] + self.session_duration
 
 
-def _segment_edges(plan: FractionationPlan, t_end: float) -> list[float]:
-    """Breakpoints 0..t_end including every session boundary inside."""
-    edges = {0.0, t_end}
-    for start in plan.session_starts:
-        for edge in (start, start + plan.session_duration):
-            if 0.0 < edge < t_end:
-                edges.add(edge)
-    return sorted(edges)
+def session_pieces(
+    plan: FractionationPlan, t_end: float
+) -> list[tuple[float, float, float | None]]:
+    """[0, t_end] cut at every session edge, in order, as (start, end,
+    session) pieces: session is the start whose span holds the piece's
+    start, or None between sessions."""
+    starts, duration = plan.session_starts, plan.session_duration
+    cuts = {x for s in starts for x in (s, s + duration) if 0.0 < x < t_end}
+    cuts = sorted(cuts | {0.0, t_end})
+    pieces, i = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        # spans are ordered, so only the last session starting by a can hold a
+        while i + 1 < len(starts) and starts[i + 1] - EDGE_SLACK <= a:
+            i += 1
+        held = starts[i] - EDGE_SLACK <= a < starts[i] + duration - EDGE_SLACK
+        pieces.append((a, b, starts[i] if held else None))
+    return pieces
 
 
 def simulate_fractionated(
@@ -168,10 +184,11 @@ def simulate_fractionated(
 ) -> Trajectory:
     """Run the treatment course on a fixed grid, dt days per step.
 
-    Session boundaries are forced onto the grid exactly; inside each
-    segment the step count is rounded so steps stay close to dt.  Returns
-    a Trajectory with regimes ("free"/"competition") and an in_session
-    flag per sample.
+    Steps walk the session_pieces, so session edges land on the grid
+    exactly; inside each piece the step count is rounded so steps stay
+    close to dt.  Returns a Trajectory with regimes ("free"/"competition")
+    and an in_session flag per sample: each node but the last takes the
+    flag of the piece its step starts in.
     """
     if not (t_end > 0.0):
         raise ConfigError("t_end must be positive")
@@ -188,19 +205,6 @@ def simulate_fractionated(
     a_h, b_h = healthy_response.alpha, healthy_response.beta
     course_end = plan.last_session_end()
     threshold = plan.eradication_threshold
-
-    starts = plan.session_starts
-    duration = plan.session_duration
-    # starts increase with gaps of at least duration, so only the last
-    # session starting at or before t (by the same 1e-9 slack) can cover it
-    lowered = [s - 1e-9 for s in starts]
-
-    def session_start_at(t: float) -> float | None:
-        # session covering t, half-open [start, start + duration)
-        i = bisect_right(lowered, t) - 1
-        if i >= 0 and t < starts[i] + duration - 1e-9:
-            return starts[i]
-        return None
 
     def free_rates(h: float, c: float) -> tuple[float, float]:
         crowd = 1.0 - (h + c) / k
@@ -221,29 +225,28 @@ def simulate_fractionated(
     healthy_path = [h_cur]
     cancer_path = [c_cur]
     regimes = [regime_of(h_cur, c_cur)]
-    session_flags = [session_start_at(0.0) is not None]
+    session_flags = []
 
-    edges = _segment_edges(plan, t_end)
-    for a, b in zip(edges, edges[1:]):
+    for a, b, session in session_pieces(plan, t_end):
         span = b - a
         n_steps = max(1, round(span / dt))
         h_step = span / n_steps
-        seg_session = session_start_at(a + 0.5 * h_step)
+        in_session = session is not None
 
         for j in range(n_steps):
-            t_cur = a + j * h_step
             t_new = a + (j + 1) * h_step
+            session_flags.append(in_session)
 
-            if seg_session is not None:
+            if in_session:
                 # growth suspended; exact in-session LQ decay over the substep
-                tau = t_cur - seg_session
+                tau = a + j * h_step - session
                 d0 = rate * tau
                 d1 = rate * (tau + h_step)
                 quad = d1 * d1 - d0 * d0
                 lin = d1 - d0
                 c_cur *= math.exp(-(a_c * lin + b_c * quad))
                 h_cur *= math.exp(-(a_h * lin + b_h * quad))
-            elif not cured and h_cur + c_cur >= trigger_level:
+            elif regimes[-1] == "competition":
                 # competition regime: cancer logistic on its own, healthy
                 # cells take up the rest of the capacity exactly
                 c = c_cur
@@ -270,12 +273,8 @@ def simulate_fractionated(
 
             # tumour eradication is only judged once the course is over;
             # transient dips between sessions regrow and do not count
-            if (
-                threshold is not None
-                and not cured
-                and t_new >= course_end - 1e-9
-                and c_cur < threshold
-            ):
+            if (threshold is not None and not cured
+                    and t_new >= course_end - EDGE_SLACK and c_cur < threshold):
                 c_cur = 0.0
                 cured = True
 
@@ -283,16 +282,14 @@ def simulate_fractionated(
             healthy_path.append(h_cur)
             cancer_path.append(c_cur)
             regimes.append(regime_of(h_cur, c_cur))
-            # no session edge lies inside a segment, so only its last node,
-            # the next edge, can fall in a different session
-            if j < n_steps - 1:
-                session_flags.append(seg_session is not None)
-            else:
-                session_flags.append(session_start_at(t_new) is not None)
 
-    states = np.column_stack(
-        (np.asarray(healthy_path), np.asarray(cancer_path))
+    # the last node starts no step, so the spans flag it directly
+    t, duration = times[-1], plan.session_duration
+    session_flags.append(
+        any(s - EDGE_SLACK <= t < s + duration - EDGE_SLACK for s in plan.session_starts)
     )
+
+    states = np.column_stack((np.asarray(healthy_path), np.asarray(cancer_path)))
     return Trajectory(
         times=np.asarray(times),
         states=states,

@@ -445,22 +445,23 @@ def objective_and_gradient(
     U = np.asarray(controls, dtype=float).tolist()
     S = s1.tolist()
 
+    weights = _quadrature_weights(setup)
+    W = weights.tolist()
     grad = np.zeros(setup.n_intervals)
     # direct dependence of the quadrature on u
     node_interval = _node_intervals(setup)
     np.add.at(
         grad,
         node_interval,
-        _quadrature_weights(setup) * 2.0 * model.control_weight
-        * np.asarray(controls)[node_interval],
+        weights * 2.0 * model.control_weight * np.asarray(controls)[node_interval],
     )
     # the sweep adds to the quadrature term as floats, in the same order
     G = grad.tolist()
 
     # reverse sweep; w accumulates d(objective)/d(node state)
     hN, cN = S[n_steps]
-    wh = 0.5 * h_step * 2.0 * (hN - k) / sh2
-    wc = 0.5 * h_step * 2.0 * cN / sc2
+    wh = W[n_steps] * 2.0 * (hN - k) / sh2
+    wc = W[n_steps] * 2.0 * cN / sc2
     for j in range(n_steps - 1, -1, -1):
         i = j // refine
         u = U[i]
@@ -505,10 +506,8 @@ def objective_and_gradient(
 
         wh = wh + sb1h + sb2h + sb3h + sb4h
         wc = wc + sb1c + sb2c + sb3c + sb4c
-        # quadrature weight of node j
-        wq = h_step if j > 0 else 0.5 * h_step
-        wh += wq * 2.0 * (h1 - k) / sh2
-        wc += wq * 2.0 * c1 / sc2
+        wh += W[j] * 2.0 * (h1 - k) / sh2
+        wc += W[j] * 2.0 * c1 / sc2
 
     return objective, np.array(G)
 

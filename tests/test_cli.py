@@ -447,9 +447,8 @@ def test_phase_portrait_run(tmp_path):
     assert "cancer_only" in labels
 
 
-def test_fractionated_run(tmp_path, capsys):
-    out = tmp_path / "out"
-    cfg = write_config(
+def fractionated_config(tmp_path, out, starts, t_end):
+    return write_config(
         tmp_path,
         {
             "kind": "fractionated",
@@ -466,16 +465,21 @@ def test_fractionated_run(tmp_path, capsys):
                 "cancer_response": {"alpha": 5e-3, "beta": 2e-2},
                 "healthy_response": {"alpha": 6.25e-4, "beta": 2.5e-3},
                 "plan": {
-                    "session_starts": [0.0],
+                    "session_starts": starts,
                     "session_duration": 0.2,
                     "session_dose": 8.0,
                     "eradication_threshold": 100.0,
                 },
-                "t_end": 2.0,
+                "t_end": t_end,
                 "dt": 0.01,
             },
         },
     )
+
+
+def test_fractionated_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = fractionated_config(tmp_path, out, [0.0], 2.0)
     assert main(["fractionated", "--config", str(cfg)]) == 0
     assert "persistent" in capsys.readouterr().out
     header, rows = read_csv(out / "fractionated.csv")
@@ -487,6 +491,27 @@ def test_fractionated_run(tmp_path, capsys):
     assert summary["dose_per_session"] == 8.0
     assert summary["total_dose"] == pytest.approx(8.0)
     assert summary["final_cancer"] < 1e6
+
+
+@pytest.mark.parametrize(
+    "starts, t_end, dose",
+    [
+        ([0.0, 1.0], 1.1, 12.0),  # t_end cuts the last session in half
+        ([0.0, 5.0], 2.0, 8.0),  # the second session starts after t_end
+        ([100.0, 100.2, 100.4, 100.6], 101.0, 32.0),  # back to back in decimal
+    ],
+    ids=["last-session-cut", "session-after-t-end", "back-to-back-decimal"],
+)
+def test_total_dose_is_the_dose_delivered_by_t_end(
+    tmp_path, capsys, starts, t_end, dose
+):
+    out = tmp_path / "out"
+    cfg = fractionated_config(tmp_path, out, starts, t_end)
+    assert main(["fractionated", "--config", str(cfg)]) == 0
+    assert f"dose {dose:g} Gy" in capsys.readouterr().out
+    summary = json.loads((out / "fractionated.json").read_text())
+    assert summary["total_dose"] == pytest.approx(dose, rel=1e-12)
+    assert summary["sessions"] == len(starts)
 
 
 def test_outputs_honour_the_umask(tmp_path):

@@ -14,6 +14,7 @@ from oncocontrol import (
     surviving_fraction,
 )
 from oncocontrol.errors import ConfigError
+from oncocontrol.lq_radiotherapy import session_pieces
 
 CANCER_LQ = LQParams(alpha=5e-3, beta=2e-2)
 HEALTHY_LQ = LQParams(alpha=6.25e-4, beta=2.5e-3)
@@ -109,6 +110,14 @@ def test_plan_validation():
             session_starts=(10.0, 5.0), session_duration=0.2, dose_rate=1.0
         )
     with pytest.raises(ConfigError):
+        FractionationPlan(
+            session_starts=(0.0, 0.2 - 2e-9), session_duration=0.2, dose_rate=1.0
+        )
+    # sessions may overlap by the 1e-9 day that decimal edges miss by
+    FractionationPlan(
+        session_starts=(100.0, 100.2, 100.4, 100.6), session_duration=0.2, dose_rate=1.0
+    )
+    with pytest.raises(ConfigError):
         FractionationPlan(session_starts=(0.0,), session_duration=0.2)
     with pytest.raises(ConfigError):
         FractionationPlan(
@@ -183,28 +192,73 @@ def test_session_boundaries_land_on_grid():
     assert all(b < a for a, b in zip(c_inside, c_inside[1:]))
 
 
-def test_in_session_flags_follow_the_half_open_sessions():
+def assert_flags_follow_spans(starts, duration, t_end, dt):
     # a node is flagged exactly when it lies in some [start, start + duration),
     # up to the 1e-9 day that lets session edges land on the grid
+    plan = FractionationPlan(
+        session_starts=tuple(map(float, starts)),
+        session_duration=duration,
+        session_dose=2.0,
+    )
+    traj = simulate_fractionated(
+        course_growth(), CANCER_LQ, HEALTHY_LQ, plan, t_end=t_end, dt=dt
+    )
+    t, s = traj.times[:, None], np.asarray(starts)
+    expected = ((t >= s - 1e-9) & (t < s + duration - 1e-9)).any(axis=1)
+    assert np.array_equal(traj.in_session, expected)
+
+
+def test_in_session_flags_follow_the_half_open_sessions():
     rng = np.random.default_rng(41)
     for _ in range(12):
         duration = rng.uniform(0.05, 1.0)
         gaps = rng.uniform(duration, 5.0, rng.integers(1, 40))
         # the first session may start before day 0 or run past t_end
         starts = rng.uniform(-0.5 * duration, 5.0) + np.cumsum(gaps) - gaps[0]
+        t_end = starts[-1] + rng.choice([0.5 * duration, duration, 10.0])
+        dt = rng.uniform(0.01, duration)
+        assert_flags_follow_spans(starts, duration, t_end, dt)
+    # back-to-back sessions built by repeated addition miss each other by ulps
+    for first in (0.0, 0.3, 10.0, 100.0):
+        for duration in (0.05, 0.1, 0.2, 0.3):
+            starts = [first]
+            for _ in range(rng.integers(2, 20)):
+                starts.append(starts[-1] + duration)
+            t_end = starts[-1] + rng.choice([0.5 * duration, duration, 10.0])
+            dt = rng.uniform(0.01, duration)
+            assert_flags_follow_spans(starts, duration, t_end, dt)
+    # a first session within 1e-9 of day 0 starts at day 0
+    for first in (-1e-9, 5e-10, 1e-9):
+        assert_flags_follow_spans([first, first + 1.0], 0.2, 3.0, 0.05)
+    # and a course ending within 1e-9 of a session edge ends on that edge
+    for t_end in (2.0 - 5e-10, 2.2 - 5e-10):
+        assert_flags_follow_spans([1.0, 2.0], 0.2, t_end, 0.05)
+
+
+def test_session_pieces_tile_the_horizon():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        duration = rng.uniform(0.05, 1.0)
+        gaps = [
+            rng.choice([duration, duration - 5e-10, duration + 5e-10, duration + 2.0])
+            for _ in range(rng.integers(1, 20))
+        ]
+        starts = rng.uniform(-duration, 2.0) + np.cumsum(gaps) - gaps[0]
         plan = FractionationPlan(
             session_starts=tuple(starts.tolist()),
             session_duration=duration,
             session_dose=2.0,
         )
-        t_end = starts[-1] + rng.choice([0.5 * duration, duration, 10.0])
-        traj = simulate_fractionated(
-            course_growth(), CANCER_LQ, HEALTHY_LQ, plan,
-            t_end=t_end, dt=rng.uniform(0.01, duration),
-        )
-        t = traj.times[:, None]
-        expected = ((t >= starts - 1e-9) & (t < starts + duration - 1e-9)).any(axis=1)
-        assert np.array_equal(traj.in_session, expected)
+        t_end = rng.uniform(0.1, starts[-1] + 2.0 * duration)
+        pieces = session_pieces(plan, t_end)
+        assert pieces[0][0] == 0.0 and pieces[-1][1] == t_end
+        assert all(a < b for a, b, _ in pieces)
+        assert all(p[1] == q[0] for p, q in zip(pieces, pieces[1:]))
+        for a, b, s in pieces:
+            if s is not None:
+                assert s - 1e-9 <= a and b <= s + duration
+            elif b - a > 1e-9:
+                assert all(b <= x or a >= x + duration for x in starts)
 
 
 def test_competition_regime_fills_the_niche():
