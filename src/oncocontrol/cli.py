@@ -5,6 +5,7 @@ file and writes its results into an output directory.  Exit codes:
 
   0  success
   1  configuration problem (bad file, schema violation, bad invariant)
+     or a usage error (missing --config, unknown subcommand, bad --seed)
   2  numerical failure during evaluation
   3  a solver finished without converging; outputs are still written
 
@@ -26,6 +27,8 @@ import numpy as np
 
 from . import growth_models
 from .competition_dynamics import (
+    CompetitionParams,
+    ControlParams,
     State,
     Trajectory,
     coexistence_field,
@@ -33,20 +36,14 @@ from .competition_dynamics import (
     controlled_field,
     integrate,
 )
-from .config import (
-    ScenarioConfig,
-    competition_params_from,
-    control_params_from,
-    growth_params_from,
-    load_config,
-    lq_params_from,
-    ocp_setup_from,
-    piecewise_growth_from,
-    plan_from,
-    state_from,
-)
+from .config import ScenarioConfig, growth_params_from, load_config, ocp_setup_from, plan_from
 from .errors import ConfigError, NumericalError
-from .lq_radiotherapy import session_pieces, simulate_fractionated
+from .lq_radiotherapy import (
+    LQParams,
+    PiecewiseGrowthParams,
+    session_pieces,
+    simulate_fractionated,
+)
 from .optimal_control import (
     OCPSetup,
     OCPSolution,
@@ -64,7 +61,6 @@ from .stability_analysis import (
 @dataclass
 class ScenarioResult:
     exit_code: int
-    files: list[Path]
     summary: str
 
 
@@ -148,37 +144,36 @@ def _write_outputs(
     stem: str,
     table: tuple[list[str], Iterable[Sequence]] | None = None,
     payload: dict | None = None,
-) -> list[Path]:
+) -> None:
     """Write <stem>.csv from table = (header, rows) and <stem>.json from
     payload stamped with kind and seed, each when the output options enable
-    it; return the paths written."""
-    files: list[Path] = []
+    it."""
     if table is not None and cfg.output.csv:
-        path = cfg.output.directory / f"{stem}.csv"
-        write_csv(path, *table)
-        files.append(path)
+        write_csv(cfg.output.directory / f"{stem}.csv", *table)
     if payload is not None and cfg.output.json:
-        path = cfg.output.directory / f"{stem}.json"
-        write_json(path, {"kind": cfg.kind, "seed": cfg.seed, **payload})
-        files.append(path)
-    return files
+        write_json(
+            cfg.output.directory / f"{stem}.json",
+            {"kind": cfg.kind, "seed": cfg.seed, **payload},
+        )
 
 
 _TRAJECTORY_HEADER = ["time (day)", "healthy (cells)", "cancer (cells)"]
 
 
-def _trajectory_rows(traj: Trajectory, stride: int, *extra) -> Iterator[tuple]:
+def _trajectory_rows(
+    traj: Trajectory | OCPSolution, stride: int, *extra
+) -> Iterator[tuple]:
     """Rows (time, healthy, cancer, *extra columns) at every stride-th sample
     and the last one, as Python scalars."""
     idx = _stride_indices(len(traj.times), stride)
-    columns = (traj.times, traj.healthy, traj.cancer, *extra)
+    columns = (traj.times, traj.states[:, 0], traj.states[:, 1], *extra)
     yield from zip(*(np.asarray(col)[idx].tolist() for col in columns))
 
 
 def _system(p: dict):
     """Field of the configured system, and a thunk for its equilibria
     without the nonlinear probe."""
-    dynamics = competition_params_from(p["dynamics"])
+    dynamics = CompetitionParams(**p["dynamics"])
     system = p["system"]
     if system != "controlled":
         factory = coexistence_field if system == "coexistence" else competition_field
@@ -187,7 +182,7 @@ def _system(p: dict):
         )
     if "control" not in p:
         raise ConfigError("controlled system needs a control block")
-    control = control_params_from(p["control"])
+    control = ControlParams(**p["control"])
     intensity = p["intensity"]
     return controlled_field(dynamics, control, intensity), lambda: (
         equilibria_constant_control(dynamics, control, intensity, probe_nonhyperbolic=False)
@@ -222,20 +217,20 @@ def _run_growth(cfg: ScenarioConfig) -> ScenarioResult:
         for i in _stride_indices(len(times), cfg.output.stride)
     )
     header = ["time (day)"] + [f"{law} (cells)" for law in laws]
-    files = _write_outputs(cfg, "growth", (header, rows), summary)
+    _write_outputs(cfg, "growth", (header, rows), summary)
 
     finals = ", ".join(f"{law}={float(curves[law][-1]):.6g}" for law in laws)
-    return ScenarioResult(0, files, f"growth: t_end={p['t_end']:g} {finals}")
+    return ScenarioResult(0, f"growth: t_end={p['t_end']:g} {finals}")
 
 
 def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
-    growth = piecewise_growth_from(p["growth"])
+    growth = PiecewiseGrowthParams(**p["growth"])
     plan = plan_from(p["plan"])
     traj = simulate_fractionated(
         growth,
-        lq_params_from(p["cancer_response"]),
-        lq_params_from(p["healthy_response"]),
+        LQParams(**p["cancer_response"]),
+        LQParams(**p["healthy_response"]),
         plan,
         t_end=p["t_end"],
         dt=p["dt"],
@@ -248,7 +243,7 @@ def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
         rate * (b - a) for a, b, s in session_pieces(plan, p["t_end"]) if s is not None
     )
 
-    files = _write_outputs(
+    _write_outputs(
         cfg,
         "fractionated",
         (
@@ -269,7 +264,6 @@ def _run_fractionated(cfg: ScenarioConfig) -> ScenarioResult:
     word = "eradicated" if cured else "persistent"
     return ScenarioResult(
         0,
-        files,
         f"fractionated: tumour {word}, final cancer {final.cancer:.6g} cells, "
         f"dose {delivered:g} Gy",
     )
@@ -281,7 +275,7 @@ def _run_competition(cfg: ScenarioConfig) -> ScenarioResult:
     times = np.linspace(0.0, p["t_end"], p["samples"])
     traj = integrate(
         field,
-        state_from(p["initial"]),
+        State(**p["initial"]),
         (0.0, p["t_end"]),
         rtol=p["rtol"],
         atol=p["atol"],
@@ -289,7 +283,7 @@ def _run_competition(cfg: ScenarioConfig) -> ScenarioResult:
     )
 
     final = traj.final_state()
-    files = _write_outputs(
+    _write_outputs(
         cfg,
         "competition",
         (_TRAJECTORY_HEADER, _trajectory_rows(traj, cfg.output.stride)),
@@ -301,7 +295,6 @@ def _run_competition(cfg: ScenarioConfig) -> ScenarioResult:
     )
     return ScenarioResult(
         0,
-        files,
         f"competition: {p['system']} ended at healthy {final.healthy:.6g}, "
         f"cancer {final.cancer:.6g}",
     )
@@ -312,8 +305,8 @@ def _write_reports(
     stem: str,
     reports: list[EquilibriumReport],
     extra: dict,
-) -> list[Path]:
-    return _write_outputs(
+) -> None:
+    _write_outputs(
         cfg,
         stem,
         (_REPORT_HEADER, map(_report_row, reports)),
@@ -323,43 +316,40 @@ def _write_reports(
 
 def _run_equilibria(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
-    dynamics = competition_params_from(p["dynamics"])
+    dynamics = CompetitionParams(**p["dynamics"])
     reports = equilibria_uncontrolled(
         dynamics,
         competitive=p["variant"] == "competition",
         probe_nonhyperbolic=p["probe_nonhyperbolic"],
     )
-    files = _write_reports(cfg, "equilibria", reports, {"variant": p["variant"]})
+    _write_reports(cfg, "equilibria", reports, {"variant": p["variant"]})
     stable = [r.label for r in reports if r.classification == "stable sink"]
     return ScenarioResult(
         0,
-        files,
         f"equilibria: {len(reports)} points, stable sinks: {', '.join(stable) or 'none'}",
     )
 
 
 def _run_constant_control(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
-    dynamics = competition_params_from(p["dynamics"])
-    control = control_params_from(p["control"])
+    dynamics = CompetitionParams(**p["dynamics"])
+    control = ControlParams(**p["control"])
     intensity = p["intensity"]
     reports = equilibria_constant_control(
         dynamics, control, intensity, probe_nonhyperbolic=p["probe_nonhyperbolic"]
     )
-    files = _write_reports(
-        cfg, "constant_control", reports, {"intensity": intensity}
-    )
+    _write_reports(cfg, "constant_control", reports, {"intensity": intensity})
 
     if "simulate" in p:
         sim = p["simulate"]
         times = np.linspace(0.0, sim["t_end"], sim["samples"])
         traj = integrate(
             controlled_field(dynamics, control, intensity),
-            state_from(sim["initial"]),
+            State(**sim["initial"]),
             (0.0, sim["t_end"]),
             t_eval=times,
         )
-        files += _write_outputs(
+        _write_outputs(
             cfg,
             "constant_control_trajectory",
             (_TRAJECTORY_HEADER, _trajectory_rows(traj, cfg.output.stride)),
@@ -368,7 +358,6 @@ def _run_constant_control(cfg: ScenarioConfig) -> ScenarioResult:
     stable = [r.label for r in reports if r.classification == "stable sink"]
     return ScenarioResult(
         0,
-        files,
         f"constant-control: u={intensity:g}, {len(reports)} points, "
         f"stable sinks: {', '.join(stable) or 'none'}",
     )
@@ -380,14 +369,15 @@ def _solve_for(setup: OCPSetup, which: str, p: dict) -> OCPSolution:
     return solve_direct(setup, **p["direct"])
 
 
-def _solution_table(sol: OCPSolution, stride: int) -> tuple[list[str], Iterator[tuple]]:
-    traj = sol.trajectory()
+def _solution_table(
+    sol: OCPSolution, setup: OCPSetup, stride: int
+) -> tuple[list[str], Iterator[tuple]]:
     header = _TRAJECTORY_HEADER + ["intensity (dimensionless)"]
-    extra = [traj.controls]
+    extra = [sol.control[setup.node_intervals()]]
     if sol.adjoints is not None:
         header += ["adjoint_healthy (1/cells)", "adjoint_cancer (1/cells)"]
         extra += [sol.adjoints[:, 0], sol.adjoints[:, 1]]
-    return header, _trajectory_rows(traj, stride, *extra)
+    return header, _trajectory_rows(sol, stride, *extra)
 
 
 def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
@@ -400,11 +390,8 @@ def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
     if which in ("direct", "both"):
         solutions["direct"] = _solve_for(setup, "direct", p)
 
-    files: list[Path] = []
     for name, sol in solutions.items():
-        files += _write_outputs(
-            cfg, f"ocp_{name}", _solution_table(sol, cfg.output.stride)
-        )
+        _write_outputs(cfg, f"ocp_{name}", _solution_table(sol, setup, cfg.output.stride))
 
     payload: dict = {
         "horizon": setup.horizon,
@@ -415,30 +402,27 @@ def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
         a, b = solutions["indirect"], solutions["direct"]
         width = setup.horizon / setup.n_intervals
         gap = a.control - b.control
+        # both objectives are 0 exactly from a tumour-free start at capacity
+        scale = max(abs(a.objective), abs(b.objective))
         payload["cross_validation"] = {
-            "objective_gap_rel": abs(a.objective - b.objective)
-            / max(abs(a.objective), abs(b.objective)),
+            "objective_gap_rel": abs(a.objective - b.objective) / scale if scale else 0.0,
             "control_l2_gap": float(np.sqrt(np.sum(gap**2) * width)),
             "control_max_gap": float(np.max(np.abs(gap))),
         }
-    files += _write_outputs(cfg, "ocp", payload=payload)
+    _write_outputs(cfg, "ocp", payload=payload)
 
     all_converged = all(s.converged for s in solutions.values())
     objs = ", ".join(
         f"{name} J={sol.objective:.6g}" for name, sol in solutions.items()
     )
     note = "" if all_converged else " (not converged)"
-    return ScenarioResult(
-        0 if all_converged else 3,
-        files,
-        f"ocp: {objs}{note}",
-    )
+    return ScenarioResult(0 if all_converged else 3, f"ocp: {objs}{note}")
 
 
 def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
     base = ocp_setup_from({**p, "initial": p["initials"][0]})
-    initials = [state_from(d) for d in p["initials"]]
+    initials = [State(**d) for d in p["initials"]]
     labels = p.get("labels")
     if labels is not None and len(labels) != len(initials):
         raise ConfigError("labels must match initials in length")
@@ -471,7 +455,7 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
         [r.scenario, r.protocol, r.start, r.end, r.intensity, r.interval_dose, r.total_dose]
         for r in rows
     )
-    files = _write_outputs(
+    _write_outputs(
         cfg,
         "dose_report",
         (header, table),
@@ -487,7 +471,6 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
     all_converged = all(s.converged for s in solutions)
     return ScenarioResult(
         0 if all_converged else 3,
-        files,
         f"dose-report: {len(initials)} scenarios, {len(rows)} rows"
         + ("" if all_converged else " (not converged)"),
     )
@@ -521,12 +504,12 @@ def _run_phase_portrait(cfg: ScenarioConfig) -> ScenarioResult:
     payload: dict = {"system": p["system"], "trajectories": len(trajectories)}
     if p["include_equilibria"]:
         payload["equilibria"] = [_report_dict(r) for r in equilibria()]
-    files = _write_outputs(
+    _write_outputs(
         cfg, "phase_portrait", (["trajectory"] + _TRAJECTORY_HEADER, rows), payload
     )
 
     return ScenarioResult(
-        0, files, f"phase-portrait: {len(trajectories)} trajectories written"
+        0, f"phase-portrait: {len(trajectories)} trajectories written"
     )
 
 
@@ -565,7 +548,12 @@ def main(argv: list[str] | None = None) -> int:
         sp.add_argument("--config", required=True, help="scenario JSON file")
         sp.add_argument("--out", help="output directory (overrides config)")
         sp.add_argument("--seed", type=int, help="seed recorded in outputs (overrides config)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a numerical failure;
+        # --help exits 0
+        return 1 if exc.code else 0
 
     try:
         cfg = load_config(args.config)

@@ -107,14 +107,12 @@ class Trajectory:
     """Sampled solution of one of the dynamical systems.
 
     times has shape (n,), states shape (n, 2) with columns
-    (healthy, cancer).  controls, regimes and in_session are filled only
-    by the producers that have them (optimal control, fractionated
-    radiotherapy) and stay None otherwise.
+    (healthy, cancer).  regimes and in_session are filled only by
+    fractionated radiotherapy and stay None otherwise.
     """
 
     times: np.ndarray
     states: np.ndarray
-    controls: np.ndarray | None = None
     regimes: list[str] | None = None
     in_session: np.ndarray | None = None
 

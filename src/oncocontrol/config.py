@@ -7,13 +7,16 @@ and defaults; this module validates against it with a jsonschema
 validator that fills in the defaults it declares as it descends, and
 converts the result into the typed parameter objects of the library
 modules.  Unknown keys are rejected everywhere, so a typo fails loudly
-instead of silently running with a default.
+instead of silently running with a default.  Integer fields are written
+without a decimal point: 501 is an integer, 501.0 is a config error.
 
-The converters unpack each validated block by field name and restate no
-default: the schema owns the defaults, and a key missing from a partial
-dict built by hand falls through to the dataclass default.  A test keeps
-the schema's property names and defaults equal to the dataclass fields
-and solver keywords they are unpacked into.
+A block whose fields are those of a dataclass is unpacked by calling its
+constructor directly (``CompetitionParams(**block)``); the converters
+kept here hide a conversion or a merge.  None restates a default: the
+schema owns the defaults, and a key missing from a partial dict built by
+hand falls through to the dataclass default.  A test keeps the schema's
+property names and defaults equal to the dataclass fields and solver
+keywords they are unpacked into.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import jsonschema
 from .competition_dynamics import CompetitionParams, ControlParams, State
 from .errors import ConfigError
 from .growth_models import GrowthParams
-from .lq_radiotherapy import FractionationPlan, LQParams, PiecewiseGrowthParams
+from .lq_radiotherapy import FractionationPlan
 from .optimal_control import CostModel, OCPSetup
 
 @lru_cache(maxsize=1)
@@ -62,8 +65,16 @@ def _finite_type(validator, types, instance, schema):
         yield from _BASE.VALIDATORS["type"](validator, types, instance, schema)
 
 
+def _is_integer(checker, instance) -> bool:
+    # JSON Schema counts 501.0 as an integer, but range() and np.linspace
+    # do not, so an integer field must be written without a decimal point
+    return isinstance(instance, int) and not isinstance(instance, bool)
+
+
 _Validator = jsonschema.validators.extend(
-    _BASE, {"properties": _properties_with_defaults, "type": _finite_type}
+    _BASE,
+    {"properties": _properties_with_defaults, "type": _finite_type},
+    type_checker=_BASE.TYPE_CHECKER.redefine("integer", _is_integer),
 )
 
 
@@ -76,9 +87,9 @@ def _first_error(errors) -> str:
 @dataclass(frozen=True)
 class OutputOptions:
     directory: Path
-    csv: bool = True
-    json: bool = True
-    stride: int = 1
+    csv: bool
+    json: bool
+    stride: int
 
 
 @dataclass
@@ -108,12 +119,12 @@ def parse_config(raw: dict) -> ScenarioConfig:
     out = data["output"]
     return ScenarioConfig(
         kind=kind,
-        seed=int(data["seed"]),
+        seed=data["seed"],
         output=OutputOptions(
             directory=Path(out["directory"]),
-            csv=bool(out["csv"]),
-            json=bool(out["json"]),
-            stride=int(out["stride"]),
+            csv=out["csv"],
+            json=out["json"],
+            stride=out["stride"],
         ),
         parameters=data["parameters"],
     )
@@ -151,18 +162,6 @@ def _fields_of(cls, d: dict) -> dict:
     return {k: v for k, v in d.items() if k in names}
 
 
-def competition_params_from(d: dict) -> CompetitionParams:
-    return CompetitionParams(**d)
-
-
-def control_params_from(d: dict) -> ControlParams:
-    return ControlParams(**d)
-
-
-def state_from(d: dict) -> State:
-    return State(**d)
-
-
 def cost_model_from(d: dict | None, dynamics: CompetitionParams) -> CostModel:
     """Cost scales derived from the dynamics, overridden by those given."""
     return replace(CostModel.for_dynamics(dynamics), **(d or {}))
@@ -170,14 +169,6 @@ def cost_model_from(d: dict | None, dynamics: CompetitionParams) -> CostModel:
 
 def growth_params_from(d: dict) -> GrowthParams:
     return GrowthParams(**_fields_of(GrowthParams, d))
-
-
-def lq_params_from(d: dict) -> LQParams:
-    return LQParams(**d)
-
-
-def piecewise_growth_from(d: dict) -> PiecewiseGrowthParams:
-    return PiecewiseGrowthParams(**d)
 
 
 def plan_from(d: dict) -> FractionationPlan:
@@ -188,13 +179,13 @@ def plan_from(d: dict) -> FractionationPlan:
 def ocp_setup_from(params: dict) -> OCPSetup:
     """OCPSetup from an ocp or dose-report parameter block; the grid fields
     (horizon, n_intervals, refine) are taken by name when present."""
-    dynamics = competition_params_from(params["dynamics"])
+    dynamics = CompetitionParams(**params["dynamics"])
     return OCPSetup(
         **{
             **_fields_of(OCPSetup, params),
             "dynamics": dynamics,
-            "control": control_params_from(params["control"]),
-            "initial": state_from(params["initial"]),
+            "control": ControlParams(**params["control"]),
+            "initial": State(**params["initial"]),
             "cost": cost_model_from(params.get("cost"), dynamics),
         }
     )

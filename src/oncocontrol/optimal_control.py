@@ -127,6 +127,11 @@ class OCPSetup:
     def node_times(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_nodes)
 
+    def node_intervals(self) -> np.ndarray:
+        """Index of the control interval each rollout node belongs to; the
+        final node takes the last interval."""
+        return np.minimum(np.arange(self.n_nodes) // self.refine, self.n_intervals - 1)
+
 
 @dataclass
 class OCPSolution:
@@ -153,13 +158,6 @@ class OCPSolution:
     @property
     def horizon(self) -> float:
         return float(self.times[-1])
-
-    def trajectory(self) -> Trajectory:
-        refine = (len(self.times) - 1) // len(self.control)
-        idx = np.minimum(np.arange(len(self.times)) // refine, len(self.control) - 1)
-        return Trajectory(
-            times=self.times, states=self.states, controls=self.control[idx]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +218,20 @@ def cost(
 ) -> float:
     """Trapezoid quadrature of the running cost along a trajectory.
 
-    controls may be per-sample (same length as traj.times) or
-    per-interval on the uniform grid implied by its length.
+    controls is one intensity, or one per sample of traj.times; a rollout
+    takes its per-interval schedule to nodes by indexing it with
+    OCPSetup.node_intervals().
     """
     if model is None:
         model = CostModel.for_dynamics(dynamics)
     controls = np.asarray(controls, dtype=float)
-    if controls.ndim == 0:
-        u_nodes = np.full(len(traj.times), float(controls))
-    elif len(controls) == len(traj.times):
-        u_nodes = controls
-    else:
-        u_nodes = controls_at_times(traj.times, controls)
+    if controls.shape not in ((), traj.times.shape):
+        raise ConfigError(
+            f"controls of shape {controls.shape} fit neither one value nor "
+            f"the {len(traj.times)} samples"
+        )
     dens = _running_cost(
-        traj.healthy, traj.cancer, u_nodes, dynamics.shared_capacity, model
+        traj.healthy, traj.cancer, controls, dynamics.shared_capacity, model
     )
     return _trapezoid(dens, traj.times)
 
@@ -383,12 +381,6 @@ def backward_rollout(
     return adjoints
 
 
-def _node_intervals(setup: OCPSetup) -> np.ndarray:
-    """Index of the control interval each rollout node belongs to; the
-    final node takes the last interval."""
-    return np.minimum(np.arange(setup.n_nodes) // setup.refine, setup.n_intervals - 1)
-
-
 def _interval_midpoints(setup: OCPSetup) -> np.ndarray:
     """Rollout node at the midpoint of each control interval, where the
     control update samples the Hamiltonian minimiser."""
@@ -407,7 +399,7 @@ def _quadrature_objective(setup: OCPSetup, states: np.ndarray, controls: np.ndar
     dens = _running_cost(
         states[:, 0],
         states[:, 1],
-        np.asarray(controls)[_node_intervals(setup)],
+        np.asarray(controls)[setup.node_intervals()],
         setup.dynamics.shared_capacity,
         setup.cost,
     )
@@ -449,7 +441,7 @@ def objective_and_gradient(
     W = weights.tolist()
     grad = np.zeros(setup.n_intervals)
     # direct dependence of the quadrature on u
-    node_interval = _node_intervals(setup)
+    node_interval = setup.node_intervals()
     np.add.at(
         grad,
         node_interval,

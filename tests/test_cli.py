@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -124,6 +125,29 @@ def test_schema_violation_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["growth"],
+        ["no-such-kind", "--config", "scenario.json"],
+        ["growth", "--config", "scenario.json", "--seed", "x"],
+    ],
+    ids=["missing-config", "unknown-subcommand", "non-integer-seed"],
+)
+def test_usage_errors_exit_one(tmp_path, capsys, argv):
+    # argparse's own code, 2, is the code of a numerical failure
+    write_config(tmp_path, growth_payload(tmp_path / "out"))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_help_exits_zero(capsys):
+    assert main(["--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_overflow_exits_two(tmp_path, capsys):
     payload = growth_payload(tmp_path / "out", t_end=5000.0)
     cfg = write_config(tmp_path, payload)
@@ -132,6 +156,64 @@ def test_overflow_exits_two(tmp_path, capsys):
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+SCHEMA = json.loads((Path(cli.__file__).parent / "schema.json").read_text())
+
+
+def integer_paths(schema, instance, path=()):
+    """Paths of the integer properties of schema that instance holds."""
+    if "$ref" in schema:
+        schema = SCHEMA["$defs"][schema["$ref"].rsplit("/", 1)[-1]]
+    if schema.get("type") == "integer":
+        yield path
+    for name, sub in schema.get("properties", {}).items():
+        if isinstance(instance, dict) and name in instance:
+            yield from integer_paths(sub, instance[name], path + (name,))
+
+
+def defaulted_config(path):
+    """A shipped config with every default the schema declares written out."""
+    cfg = cli.load_config(path)
+    output = {**dataclasses.asdict(cfg.output), "directory": str(cfg.output.directory)}
+    return {"kind": cfg.kind, "seed": cfg.seed, "output": output, "parameters": cfg.parameters}
+
+
+def integer_cases():
+    """(config, path) for every integer field a shipped config sets or
+    defaults."""
+    for config in sorted(SHIPPED.glob("*.json")):
+        raw = defaulted_config(config)
+        params = SCHEMA["$defs"]["parameters"][raw["kind"]]
+        yield from ((config.stem, p) for p in integer_paths(SCHEMA, raw))
+        yield from (
+            (config.stem, ("parameters", *p))
+            for p in integer_paths(params, raw["parameters"])
+        )
+
+
+@pytest.mark.parametrize(
+    "config, path",
+    list(integer_cases()),
+    ids=lambda v: "/".join(v) if isinstance(v, tuple) else v,
+)
+def test_integer_fields_written_as_floats_are_config_errors(
+    tmp_path, capsys, config, path
+):
+    # JSON Schema counts 501.0 as an integer, which range() and
+    # np.linspace refuse with a traceback
+    raw = defaulted_config(SHIPPED / f"{config}.json")
+    raw["output"]["directory"] = str(tmp_path / "out")
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value = float(node[path[-1]])
+    assert main([raw["kind"], "--config", str(write_config(tmp_path, raw))]) == 1
+    where = "/".join(path)
+    assert capsys.readouterr().err == (
+        f"config error: {where}: {value!r} is not of type 'integer'\n"
+    )
+    assert not (tmp_path / "out").exists()
+
 
 
 @pytest.mark.parametrize(
@@ -337,6 +419,17 @@ def test_ocp_nonconvergence_exits_three_but_writes(tmp_path, capsys):
     assert (out / "ocp_direct.csv").exists()
     summary = json.loads((out / "ocp.json").read_text())
     assert summary["solutions"]["direct"]["converged"] is False
+
+
+def test_ocp_from_a_tumour_free_start_at_capacity(tmp_path, capsys):
+    # both solvers return J = 0 exactly, so the relative objective gap is 0/0
+    raw = json.loads((SHIPPED / "ocp.json").read_text())
+    raw["output"]["directory"] = str(tmp_path / "out")
+    raw["parameters"]["initial"] = {"healthy": 7e5, "cancer": 0}
+    assert main(["ocp", "--config", str(write_config(tmp_path, raw))]) == 0
+    assert capsys.readouterr().out == "ocp: indirect J=0, direct J=0\n"
+    summary = json.loads((tmp_path / "out" / "ocp.json").read_text())
+    assert summary["cross_validation"]["objective_gap_rel"] == 0.0
 
 
 def dose_report_payload(out):

@@ -26,8 +26,6 @@ from oncocontrol.config import (
     load_config,
     parse_config,
     cost_model_from,
-    competition_params_from,
-    control_params_from,
     ocp_setup_from,
     plan_from,
 )
@@ -158,8 +156,8 @@ def test_canonical_form_is_idempotent(tmp_path):
 
 
 def test_typed_builders():
-    dyn = competition_params_from(
-        {
+    dyn = CompetitionParams(
+        **{
             "healthy_rate": 3.0,
             "cancer_rate": 0.6,
             "shared_capacity": 7e5,
@@ -167,9 +165,7 @@ def test_typed_builders():
         }
     )
     assert dyn.competition_coeff == 5.5e-8
-    ctl = control_params_from(
-        {"healthy_kill_coeff": 0.025, "cancer_kill_coeff": 0.189}
-    )
+    ctl = ControlParams(**{"healthy_kill_coeff": 0.025, "cancer_kill_coeff": 0.189})
     assert ctl.max_intensity == 1.0
     plan = plan_from(
         {"session_starts": [0, 20], "session_duration": 0.2, "session_dose": 8}
@@ -179,8 +175,8 @@ def test_typed_builders():
 
 
 def test_cost_model_merges_with_derived_scales():
-    dyn = competition_params_from(
-        {
+    dyn = CompetitionParams(
+        **{
             "healthy_rate": 3.0,
             "cancer_rate": 0.6,
             "shared_capacity": 7e5,

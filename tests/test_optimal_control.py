@@ -196,17 +196,42 @@ def test_gradient_matches_finite_differences_on_a_short_horizon():
         assert np.abs(fd - grad).max() / np.abs(fd).max() < 1e-6
 
 
-def test_objective_agrees_with_cost_on_the_rollout():
+@pytest.mark.parametrize(
+    "horizon, n_intervals, refine",
+    [
+        (20.0, 10, 4),
+        # grids on which a floor of t / width puts some interval-edge
+        # nodes in the previous interval
+        (100.0, 200, 4),
+        (100.0, 100, 4),
+        (59.04755996516342, 33, 6),
+        (365.25, 100, 4),
+    ],
+    ids=lambda v: f"{v:g}",
+)
+def test_objective_agrees_with_cost_on_the_rollout(horizon, n_intervals, refine):
+    setup = OCPSetup(
+        dynamics=DYN, control=CTL, initial=NOMINAL,
+        horizon=horizon, n_intervals=n_intervals, refine=refine,
+    )
+    rng = np.random.default_rng(31)
+    u = rng.uniform(0.0, 1.0, n_intervals)
+    value, _ = objective_and_gradient(setup, u)
+    times, states = forward_rollout(setup, u)
+    traj = Trajectory(times=times, states=states)
+    u_nodes = u[setup.node_intervals()]
+    assert value == pytest.approx(cost(traj, u_nodes, DYN, setup.cost), rel=1e-12)
+
+
+def test_cost_rejects_controls_that_match_no_sample():
     setup = OCPSetup(
         dynamics=DYN, control=CTL, initial=NOMINAL,
         horizon=20.0, n_intervals=10, refine=4,
     )
-    rng = np.random.default_rng(31)
-    u = rng.uniform(0.0, 1.0, 10)
-    value, _ = objective_and_gradient(setup, u)
-    times, states = forward_rollout(setup, u)
-    traj = Trajectory(times=times, states=states)
-    assert value == pytest.approx(cost(traj, u, DYN, setup.cost), rel=1e-12)
+    u = np.full(10, 0.5)
+    traj = Trajectory(*forward_rollout(setup, u))
+    with pytest.raises(ConfigError, match="samples"):
+        cost(traj, u, DYN)
 
 
 def test_rollout_tracks_the_adaptive_integrator():
@@ -495,13 +520,6 @@ def test_objective_survives_resimulation(direct_solution):
     )
     resim = cost(traj, controls_at_times(times, sol.control), DYN)
     assert abs(resim - sol.objective) / sol.objective < 1e-3
-
-
-def test_solution_trajectory_carries_aligned_controls(direct_solution):
-    traj = direct_solution.trajectory()
-    assert len(traj.controls) == len(traj.times)
-    assert traj.controls[0] == direct_solution.control[0]
-    assert traj.controls[-1] == direct_solution.control[-1]
 
 
 # ---------------------------------------------------------------------------
