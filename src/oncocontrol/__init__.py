@@ -47,13 +47,11 @@ from .optimal_control import (
     SOLVER_DIRECT,
     SOLVER_INDIRECT,
     CostModel,
-    DoseRow,
     OCPSetup,
     OCPSolution,
     adjoint_rhs,
     backward_rollout,
     cost,
-    dose_report,
     forward_rollout,
     objective_and_gradient,
     pontryagin_residual,

@@ -44,13 +44,7 @@ from .lq_radiotherapy import (
     session_pieces,
     simulate_fractionated,
 )
-from .optimal_control import (
-    OCPSetup,
-    OCPSolution,
-    dose_report,
-    solve_direct,
-    solve_fbsm,
-)
+from .optimal_control import OCPSetup, OCPSolution, solve_direct, solve_fbsm
 from .outputs import write_csv, write_json
 from .stability_analysis import (
     EquilibriumReport,
@@ -419,6 +413,38 @@ def _run_ocp(cfg: ScenarioConfig) -> ScenarioResult:
     return ScenarioResult(0 if all_converged else 3, f"ocp: {objs}{note}")
 
 
+_DOSE_HEADER = [
+    "scenario",
+    "protocol",
+    "start (day)",
+    "end (day)",
+    "intensity (dimensionless)",
+    "interval_dose (intensity-day)",
+    "total_dose (intensity-day)",
+]
+
+
+def dose_report(
+    solutions: list[OCPSolution],
+    labels: list[str],
+    constant: float | None,
+    horizon: float,
+) -> list[list]:
+    """Rows of the dose table: one per control interval of each solved
+    schedule, then, when constant is given, one row per scenario for the
+    constant protocol over the whole horizon."""
+    rows = []
+    for label, sol in zip(labels, solutions):
+        width = horizon / len(sol.control)
+        for i, ui in enumerate(sol.control.tolist()):
+            start, end = i * width, (i + 1) * width
+            rows.append([label, sol.solver, start, end, ui, ui * width, sol.total_dose])
+        if constant is not None:
+            c = float(constant)
+            rows.append([label, "constant", 0.0, horizon, c, c * horizon, c * horizon])
+    return rows
+
+
 def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
     p = cfg.parameters
     base = ocp_setup_from({**p, "initial": p["initials"][0]})
@@ -437,28 +463,19 @@ def _run_dose_report(cfg: ScenarioConfig) -> ScenarioResult:
         _solve_for(dataclasses.replace(base, initial=initial), p["solver"], p)
         for initial in initials
     ]
-    rows = dose_report(solutions, labels, constant)
+    # an integer horizon still prints as a float, as the rollout times do
+    horizon = float(base.horizon)
+    rows = dose_report(solutions, labels, constant, horizon)
 
-    totals: dict = {}
-    for r in rows:
-        totals.setdefault(r.scenario, {})[r.protocol] = r.total_dose
-    header = [
-        "scenario",
-        "protocol",
-        "start (day)",
-        "end (day)",
-        "intensity (dimensionless)",
-        "interval_dose (intensity-day)",
-        "total_dose (intensity-day)",
-    ]
-    table = (
-        [r.scenario, r.protocol, r.start, r.end, r.intensity, r.interval_dose, r.total_dose]
-        for r in rows
-    )
+    totals = {}
+    for label, sol in zip(labels, solutions):
+        totals[label] = {sol.solver: sol.total_dose}
+        if constant is not None:
+            totals[label]["constant"] = float(constant) * horizon
     _write_outputs(
         cfg,
         "dose_report",
-        (header, table),
+        (_DOSE_HEADER, rows),
         {
             "solver": p["solver"],
             "totals": totals,

@@ -23,11 +23,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-# exp(710) overflows a double; anything past this is a modelling error,
-# not a value worth returning as inf.
-_MAX_EXPONENT = 700.0
-
-
 @dataclass(frozen=True)
 class GrowthParams:
     """Parameter bag for the growth laws.
@@ -65,12 +60,12 @@ def _elapsed(params: GrowthParams, t):
     return arr - params.start_time
 
 
-def _checked_exp(exponent):
-    if np.max(exponent) > _MAX_EXPONENT:
-        raise OverflowError(
-            f"growth exponent {float(np.max(exponent)):.6g} exceeds safe range"
-        )
-    return np.exp(exponent)
+def _finite(what: str, value):
+    # a value past the float range is a modelling error, not one worth
+    # returning as inf; callers compute it under np.errstate(all="ignore")
+    if not np.all(np.isfinite(value)):
+        raise OverflowError(f"{what} leaves the float range")
+    return value
 
 
 def _shaped(result, t):
@@ -90,8 +85,9 @@ def exponential(params: GrowthParams, t):
     """Doubling-time growth, unbounded."""
     _require(params, "exponential", "doubling_time")
     dt = _elapsed(params, t)
-    value = params.initial_count * _checked_exp(np.log(2.0) * dt / params.doubling_time)
-    return _shaped(value, t)
+    with np.errstate(all="ignore"):
+        value = params.initial_count * np.exp(np.log(2.0) * dt / params.doubling_time)
+    return _shaped(_finite("exponential law", value), t)
 
 
 def gompertz(params: GrowthParams, t):
@@ -102,9 +98,10 @@ def gompertz(params: GrowthParams, t):
     """
     _require(params, "gompertz", "log_fold_cap", "retardation_rate")
     dt = _elapsed(params, t)
-    exponent = params.log_fold_cap * (1.0 - np.exp(-params.retardation_rate * dt))
-    value = params.initial_count * _checked_exp(exponent)
-    return _shaped(value, t)
+    with np.errstate(all="ignore"):
+        exponent = params.log_fold_cap * (1.0 - np.exp(-params.retardation_rate * dt))
+        value = params.initial_count * np.exp(exponent)
+    return _shaped(_finite("gompertz law", value), t)
 
 
 def verhulst(params: GrowthParams, t):
@@ -112,11 +109,14 @@ def verhulst(params: GrowthParams, t):
     _require(params, "verhulst", "rate", "capacity")
     dt = _elapsed(params, t)
     coeff = params.capacity / params.initial_count - 1.0
-    value = params.capacity / (1.0 + coeff * np.exp(-params.rate * dt))
-    return _shaped(value, t)
+    with np.errstate(all="ignore"):
+        value = params.capacity / (1.0 + coeff * np.exp(-params.rate * dt))
+    return _shaped(_finite("verhulst law", value), t)
 
 
 def gompertz_asymptote(params: GrowthParams) -> float:
     """Limit of the gompertz law as t grows without bound."""
     _require(params, "gompertz", "log_fold_cap")
-    return float(params.initial_count * _checked_exp(params.log_fold_cap))
+    with np.errstate(all="ignore"):
+        value = params.initial_count * np.exp(params.log_fold_cap)
+    return float(_finite("gompertz asymptote", value))

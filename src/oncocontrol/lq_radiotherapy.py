@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .competition_dynamics import Trajectory
+from .competition_dynamics import _MAX_STEPS, Trajectory
 from .errors import ConfigError
 
 # days by which session edges may miss each other and still meet
@@ -188,12 +188,22 @@ def simulate_fractionated(
     exactly; inside each piece the step count is rounded so steps stay
     close to dt.  Returns a Trajectory with regimes ("free"/"competition")
     and an in_session flag per sample: each node but the last takes the
-    flag of the piece its step starts in.
+    flag of the piece its step starts in.  A course of more steps than the
+    adaptive integrator's limit, _MAX_STEPS, is rejected before the first.
     """
     if not (t_end > 0.0):
         raise ConfigError("t_end must be positive")
     if not (0.0 < dt <= plan.session_duration):
         raise ConfigError("dt must be positive and no larger than session_duration")
+    pieces = session_pieces(plan, t_end)
+    # clamped, so a span / dt past the float range still counts as too many
+    step_counts = [
+        max(1, round(min((b - a) / dt, _MAX_STEPS + 1))) for a, b, _ in pieces
+    ]
+    if sum(step_counts) > _MAX_STEPS:
+        raise ConfigError(
+            f"dt {dt:g} cuts t_end {t_end:g} into more than {_MAX_STEPS} steps"
+        )
 
     k = growth.capacity
     trigger_level = growth.competition_trigger * k
@@ -227,10 +237,8 @@ def simulate_fractionated(
     regimes = [regime_of(h_cur, c_cur)]
     session_flags = []
 
-    for a, b, session in session_pieces(plan, t_end):
-        span = b - a
-        n_steps = max(1, round(span / dt))
-        h_step = span / n_steps
+    for (a, b, session), n_steps in zip(pieces, step_counts):
+        h_step = (b - a) / n_steps
         in_session = session is not None
 
         for j in range(n_steps):

@@ -155,10 +155,6 @@ class OCPSolution:
     adjoints: np.ndarray | None = None
     objective_history: np.ndarray | None = None
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
 
 # ---------------------------------------------------------------------------
 # cost and optimality pointwise pieces
@@ -192,22 +188,6 @@ def _clamped_minimiser(
 def _trapezoid(values: np.ndarray, times: np.ndarray) -> float:
     dt = np.diff(times)
     return float(np.sum(0.5 * dt * (values[1:] + values[:-1])))
-
-
-def controls_at_times(times: np.ndarray, controls: np.ndarray) -> np.ndarray:
-    """Sample a piecewise-constant control at arbitrary times.
-
-    The control grid is the uniform split of [times[0], times[-1]] into
-    len(controls) intervals; the profile is right-continuous, and the
-    final instant takes the last interval's value.
-    """
-    controls = np.asarray(controls, dtype=float)
-    n = len(controls)
-    t0, t1 = float(times[0]), float(times[-1])
-    idx = np.clip(
-        np.floor((np.asarray(times) - t0) / (t1 - t0) * n).astype(int), 0, n - 1
-    )
-    return controls[idx]
 
 
 def cost(
@@ -688,71 +668,3 @@ def pontryagin_residual(setup: OCPSetup, solution: OCPSolution) -> float:
         solution.adjoints[mids], solution.states[mids], setup.control, setup.cost
     )
     return float(np.max(np.abs(u_star - solution.control)))
-
-
-# ---------------------------------------------------------------------------
-# dose accounting
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DoseRow:
-    """One interval of one protocol in a dose comparison table."""
-
-    scenario: str
-    protocol: str
-    start: float       # days
-    end: float         # days
-    intensity: float
-    interval_dose: float   # intensity-days
-    total_dose: float      # intensity-days, whole protocol
-
-
-def dose_report(
-    solutions: list[OCPSolution],
-    labels: list[str] | None = None,
-    constant_intensity: float | None = None,
-) -> list[DoseRow]:
-    """Interval-by-interval dose table for solved schedules.
-
-    Optionally adds a constant-intensity reference protocol per scenario.
-    All solutions must share one horizon.
-    """
-    if not solutions:
-        raise ConfigError("dose_report needs at least one solution")
-    if labels is None:
-        labels = [f"scenario_{i + 1}" for i in range(len(solutions))]
-    if len(labels) != len(solutions):
-        raise ConfigError("labels and solutions differ in length")
-    horizon = solutions[0].horizon
-    for sol in solutions[1:]:
-        if abs(sol.horizon - horizon) > 1e-9:
-            raise ConfigError("solutions disagree on the horizon")
-
-    rows: list[DoseRow] = []
-    for label, sol in zip(labels, solutions):
-        width = horizon / len(sol.control)
-        for i, ui in enumerate(sol.control):
-            rows.append(
-                DoseRow(
-                    scenario=label,
-                    protocol=sol.solver,
-                    start=i * width,
-                    end=(i + 1) * width,
-                    intensity=float(ui),
-                    interval_dose=float(ui) * width,
-                    total_dose=sol.total_dose,
-                )
-            )
-        if constant_intensity is not None:
-            rows.append(
-                DoseRow(
-                    scenario=label,
-                    protocol="constant",
-                    start=0.0,
-                    end=horizon,
-                    intensity=float(constant_intensity),
-                    interval_dose=float(constant_intensity) * horizon,
-                    total_dose=float(constant_intensity) * horizon,
-                )
-            )
-    return rows

@@ -19,6 +19,7 @@ competition_dynamics.competition_equations.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,16 +77,26 @@ def _ordered(pair) -> tuple[complex, complex]:
 def eig2(matrix) -> tuple[complex, complex]:
     """Eigenvalues of a 2x2 matrix from trace and determinant.
 
+    The matrix is scaled by the power of two 2^-e that brings its largest
+    entry into [0.5, 1), so the squared trace cannot overflow, and the
+    eigenvalues are scaled back by 2^e.  Both scalings are exact unless
+    an entry drops below the normal range; an eigenvalue past the float
+    range raises OverflowError.
     Returned sorted by real part, then imaginary part, so callers get a
     deterministic order.
     """
     m = np.asarray(matrix, dtype=float)
     if m.shape != (2, 2):
         raise ConfigError("eig2 expects a 2x2 matrix")
-    tr = m[0, 0] + m[1, 1]
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    e = math.frexp(float(np.max(np.abs(m))))[1]
+    s = np.ldexp(m, -e)
+    tr = s[0, 0] + s[1, 1]
+    det = s[0, 0] * s[1, 1] - s[0, 1] * s[1, 0]
     disc = cmath.sqrt(tr * tr - 4.0 * det)
-    return _ordered((0.5 * (tr - disc), 0.5 * (tr + disc)))
+    return _ordered(
+        complex(math.ldexp(z.real, e), math.ldexp(z.imag, e))
+        for z in (0.5 * (tr - disc), 0.5 * (tr + disc))
+    )
 
 
 def classify(eigenvalues: tuple[complex, complex], zero_tol: float = 0.0) -> str:

@@ -1,6 +1,36 @@
-"""Shared pytest wiring: print one verdict line per acceptance criterion."""
+"""Shared pytest wiring: print one verdict line per acceptance criterion,
+and run the command line in a child process with a time budget."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _config = None
+
+
+@pytest.fixture
+def run_cli():
+    """run(*args, timeout=10.0) runs `python -m oncocontrol *args` in a
+    child process with PYTHONPATH=src, every warning an error, and returns
+    the CompletedProcess; a run past timeout seconds is killed and raises
+    subprocess.TimeoutExpired, so a hang fails the test instead of the
+    suite."""
+
+    def run(*args, timeout: float = 10.0) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            [sys.executable, "-W", "error", "-m", "oncocontrol", *map(str, args)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+
+    return run
 
 
 def pytest_configure(config):

@@ -6,15 +6,18 @@ import importlib.util
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from oncocontrol import cli
+from oncocontrol import cli, optimal_control
 from oncocontrol.cli import main
+from oncocontrol.config import ocp_setup_from
 
 DYNAMICS = {
     "healthy_rate": 3.0,
@@ -153,6 +156,28 @@ def test_overflow_exits_two(tmp_path, capsys):
     cfg = write_config(tmp_path, payload)
     assert main(["growth", "--config", str(cfg)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "initial_count, laws, failure",
+    [
+        (1e290, ["exponential", "gompertz", "verhulst"], "verhulst law"),
+        (1e300, ["gompertz"], "gompertz asymptote"),
+        (1e306, ["exponential"], "exponential law"),
+    ],
+)
+def test_growth_past_the_float_range_exits_two_and_writes_nothing(
+    tmp_path, capsys, initial_count, laws, failure
+):
+    # at 1e290, K/N0 - 1 rounds to -1 and day 0 of verhulst divides by
+    # zero; N0*exp(log_fold_cap) and N0*2**(10/1.15) overflow
+    out = tmp_path / "out"
+    payload = growth_payload(out, initial_count=initial_count, laws=laws)
+    cfg = write_config(tmp_path, payload)
+    assert main(["growth", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {failure} leaves the float range\n"
+    assert not out.exists()
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
@@ -512,6 +537,71 @@ def test_dose_report_reruns_are_byte_identical(tmp_path):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
+def test_dose_report_table(tmp_path):
+    # unlabelled scenarios are numbered from 1; each schedule's interval
+    # doses add up to its total, and each scenario gets one constant row
+    out = tmp_path / "out"
+    payload = dose_report_payload(out)
+    del payload["parameters"]["labels"]
+    assert main(["dose-report", "--config", str(write_config(tmp_path, payload))]) == 0
+    _, rows = read_csv(out / "dose_report.csv")
+    totals = json.loads((out / "dose_report.json").read_text())["totals"]
+    labels = ["scenario_1", "scenario_2", "scenario_3"]
+    assert list(totals) == labels
+    for label in labels:
+        solved = [r for r in rows if r[:2] == [label, "direct-transcription"]]
+        assert len(solved) == 5
+        total = totals[label]["direct-transcription"]
+        assert {float(r[6]) for r in solved} == {total}
+        doses = sum(float(r[5]) for r in solved)
+        assert doses == pytest.approx(total, rel=1e-12, abs=1e-15)
+        const = [r for r in rows if r[:2] == [label, "constant"]]
+        assert const == [[label, "constant", "0.0", "5.0", "0.7", "3.5", "3.5"]]
+        assert totals[label]["constant"] == 3.5
+
+
+def test_dose_report_totals_are_the_solution_totals():
+    # for this schedule sum(u) * (T / n) and the solution's sum(u) * T / n
+    # differ in the last bit; the table must write one total, not two
+    params = dose_report_payload(None)["parameters"]
+    setup = ocp_setup_from({**params, "initial": params["initials"][0]})
+    u = np.linspace(0.0, 1.0, 5) ** 1.9
+    sol = optimal_control._solution(
+        setup, u, False,
+        solver="direct-transcription", converged=True, iterations=0,
+        final_update_norm=0.0,
+    )
+    assert float(np.sum(u) * (5.0 / 5)) != sol.total_dose
+    rows = cli.dose_report([sol], ["only"], None, 5.0)
+    assert {r[6] for r in rows} == {sol.total_dose}
+
+
+def test_dose_report_rejects_labels_that_miss_the_initials(tmp_path, capsys):
+    out = tmp_path / "out"
+    payload = dose_report_payload(out)
+    payload["parameters"]["labels"] = ["only_one"]
+    assert main(["dose-report", "--config", str(write_config(tmp_path, payload))]) == 1
+    err = capsys.readouterr().err
+    assert err == "config error: labels must match initials in length\n"
+    assert not out.exists()
+
+
+def test_dose_report_integer_constant_and_horizon_print_as_floats(tmp_path):
+    # constant_intensity 1 and horizon 5 write the bytes of 1.0 and 5.0
+    outs = []
+    for name, number in (("int", int), ("float", float)):
+        out = tmp_path / name
+        payload = dose_report_payload(out)
+        payload["parameters"].update(constant_intensity=number(1), horizon=number(5))
+        cfg = write_config(tmp_path, payload, f"{name}.json")
+        assert main(["dose-report", "--config", str(cfg)]) == 0
+        outs.append(out)
+    for name in ("dose_report.csv", "dose_report.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    _, rows = read_csv(outs[0] / "dose_report.csv")
+    assert rows[5] == ["nominal", "constant", "0.0", "5.0", "1.0", "5.0", "5.0"]
+
+
 def test_phase_portrait_run(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -570,6 +660,31 @@ def fractionated_config(tmp_path, out, starts, t_end):
     )
 
 
+NON_FINITE = re.compile(r"\b(?:nan|inf|NaN|Infinity)\b")
+
+
+@pytest.mark.parametrize(
+    "name, value, code",
+    [
+        ("cancer_rate", 6e199, 2),
+        ("shared_capacity", 7e-295, 2),
+        ("competition_coeff", 5.5e-308, 0),
+    ],
+)
+def test_constant_control_writes_finite_eigenvalues(tmp_path, name, value, code):
+    # the interior point's squared trace overflows or underflows unless
+    # eig2 scales the Jacobian; the first two then fail in the trajectory
+    raw = json.loads((SHIPPED / "constant_control.json").read_text())
+    raw["output"]["directory"] = str(tmp_path / "out")
+    raw["parameters"]["dynamics"][name] = value
+    assert main(["constant-control", "--config", str(write_config(tmp_path, raw))]) == code
+    written = sorted((tmp_path / "out").iterdir())
+    names = [p.name for p in written]
+    assert names[:2] == ["constant_control.csv", "constant_control.json"]
+    for path in written:
+        assert not NON_FINITE.search(path.read_text()), path.name
+
+
 def test_fractionated_run(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = fractionated_config(tmp_path, out, [0.0], 2.0)
@@ -605,6 +720,23 @@ def test_total_dose_is_the_dose_delivered_by_t_end(
     summary = json.loads((out / "fractionated.json").read_text())
     assert summary["total_dose"] == pytest.approx(dose, rel=1e-12)
     assert summary["sessions"] == len(starts)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("dt", 5e-10), ("t_end", 4.5e302), ("t_end", 1.7e308)]
+)
+def test_fractionated_step_count_is_capped(tmp_path, run_cli, field, value):
+    # each case would step the course for hours; span / dt at t_end 1.7e308
+    # is past the float range
+    raw = json.loads((SHIPPED / "fractionated.json").read_text())
+    raw["output"]["directory"] = str(tmp_path / "out")
+    raw["parameters"][field] = value
+    result = run_cli("fractionated", "--config", write_config(tmp_path, raw))
+    assert result.returncode == 1
+    dt = raw["parameters"]["dt"]
+    assert result.stderr.startswith(f"config error: dt {dt:g} cuts t_end ")
+    assert result.stderr.endswith(" into more than 1000000 steps\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_outputs_honour_the_umask(tmp_path):

@@ -20,7 +20,6 @@ from oncocontrol import (
     adjoint_rhs,
     controlled_field,
     cost,
-    dose_report,
     forward_rollout,
     integrate,
     jacobian_controlled,
@@ -30,7 +29,7 @@ from oncocontrol import (
     solve_fbsm,
 )
 from oncocontrol import optimal_control
-from oncocontrol.optimal_control import backward_rollout, controls_at_times
+from oncocontrol.optimal_control import backward_rollout
 from oncocontrol.config import load_config, ocp_setup_from
 from oncocontrol.errors import ConfigError, NumericalError
 
@@ -89,12 +88,6 @@ def test_cost_terms_add_at_unit_scales():
     assert cost(traj, 0.0, DYN) == pytest.approx(200.0, rel=1e-12)
     heavier = CostModel(healthy_scale=7e5, cancer_scale=70.0, control_weight=3.0)
     assert cost(traj, 1.0, DYN, heavier) == pytest.approx(500.0, rel=1e-12)
-
-
-def test_per_interval_controls_are_right_continuous():
-    times = np.linspace(0.0, 4.0, 9)
-    u = controls_at_times(times, np.array([10.0, 20.0]))
-    assert np.array_equal(u, [10, 10, 10, 10, 20, 20, 20, 20, 20])
 
 
 # ---------------------------------------------------------------------------
@@ -503,77 +496,26 @@ def test_fbsm_restarts_when_a_mixed_step_raises_the_residual(monkeypatch):
     assert pontryagin_residual(setup, sol) < 1e-5
 
 
-def test_objective_survives_resimulation(direct_solution):
+def test_objective_survives_resimulation(main_setup, direct_solution):
     # integrate the optimal schedule with the adaptive solver and
     # recompute the cost; transcription and simulation must agree
     sol = direct_solution
-    width = sol.horizon / len(sol.control)
+    horizon = main_setup.horizon
+    width = horizon / len(sol.control)
+
+    def interval(t):
+        return min(int(t / width), len(sol.control) - 1)
 
     def schedule(t):
-        i = min(int(t / width), len(sol.control) - 1)
-        return float(sol.control[i])
+        return float(sol.control[interval(t)])
 
-    times = np.linspace(0.0, sol.horizon, 401)
+    times = np.linspace(0.0, horizon, 401)
     traj = integrate(
-        controlled_field(DYN, CTL, schedule), NOMINAL, (0.0, sol.horizon),
+        controlled_field(DYN, CTL, schedule), NOMINAL, (0.0, horizon),
         rtol=1e-9, atol=1e-6, t_eval=times,
     )
-    resim = cost(traj, controls_at_times(times, sol.control), DYN)
+    resim = cost(traj, sol.control[[interval(t) for t in times]], DYN)
     assert abs(resim - sol.objective) / sol.objective < 1e-3
-
-
-# ---------------------------------------------------------------------------
-# dose accounting
-# ---------------------------------------------------------------------------
-
-def test_dose_report_table():
-    setup = OCPSetup(
-        dynamics=DYN, control=CTL, initial=NOMINAL,
-        horizon=5.0, n_intervals=5, refine=2,
-    )
-    a = solve_direct(setup)
-    b = solve_direct(
-        OCPSetup(
-            dynamics=DYN, control=CTL,
-            initial=State(healthy=5e5, cancer=1e5),
-            horizon=5.0, n_intervals=5, refine=2,
-        )
-    )
-    rows = dose_report([a, b], labels=["lhs", "rhs"], constant_intensity=0.7)
-    assert len(rows) == 2 * (5 + 1)
-    for label, sol in (("lhs", a), ("rhs", b)):
-        solver_rows = [
-            r for r in rows if r.scenario == label and r.protocol == SOLVER_DIRECT
-        ]
-        assert sum(r.interval_dose for r in solver_rows) == pytest.approx(
-            sol.total_dose, rel=1e-12, abs=1e-15
-        )
-        const = [
-            r for r in rows if r.scenario == label and r.protocol == "constant"
-        ]
-        assert len(const) == 1
-        assert const[0].total_dose == pytest.approx(0.7 * 5.0, rel=1e-12)
-    with pytest.raises(ConfigError):
-        dose_report([a, b], labels=["only_one"])
-    with pytest.raises(ConfigError):
-        dose_report([])
-
-
-def test_dose_report_totals_are_the_solution_totals():
-    # for this schedule sum(u) * (T / n) and the solution's sum(u) * T / n
-    # differ in the last bit; the report must write one total, not two
-    setup = OCPSetup(
-        dynamics=DYN, control=CTL, initial=NOMINAL,
-        horizon=5.0, n_intervals=5, refine=2,
-    )
-    u = np.linspace(0.0, 1.0, 5) ** 1.9
-    sol = optimal_control._solution(
-        setup, u, False,
-        solver=SOLVER_DIRECT, converged=True, iterations=0, final_update_norm=0.0,
-    )
-    assert float(np.sum(u) * (5.0 / 5)) != sol.total_dose
-    rows = dose_report([sol])
-    assert {r.total_dose for r in rows} == {sol.total_dose}
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ def test_eig2_complex_pair():
     assert hi == pytest.approx(1j)
 
 
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_eig2_scales_past_the_float_range(scale):
+    # unscaled, the squared trace of this matrix overflows or underflows
+    lo, hi = eig2([[3.0 * scale, scale], [0.0, 2.0 * scale]])
+    assert (lo.imag, hi.imag) == (0.0, 0.0)
+    assert lo.real == pytest.approx(2.0 * scale, rel=1e-15, abs=0.0)
+    assert hi.real == pytest.approx(3.0 * scale, rel=1e-15, abs=0.0)
+
+
 def test_eig2_rejects_wrong_shape():
     with pytest.raises(ConfigError):
         eig2(np.eye(3))
