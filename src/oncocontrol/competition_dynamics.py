@@ -303,6 +303,21 @@ _MAX_STEPS = 1_000_000
 _SHRINK_FLOOR = 0.2
 _GROW_CAP = 5.0
 _SAFETY = 0.9
+# RK4's stability interval on the negative real axis, [-2.785, 0]
+_RK4_REAL_LIMIT = 2.785
+
+
+def _check_rk4_rate(rate: float, step: float, remedy: str) -> None:
+    """Raise NumericalError when a fixed RK4 step of step days times the
+    fastest rate leaves RK4's real stability interval: the steps would
+    grow instead of settling.  optimal_control and lq_radiotherapy check
+    their rollouts with it before the first step."""
+    if rate * step > _RK4_REAL_LIMIT:
+        raise NumericalError(
+            f"the RK4 step of {step:g} days times the fastest rate "
+            f"{rate:g}/day is {rate * step:.4g}, past RK4's stability "
+            f"limit of {_RK4_REAL_LIMIT}; {remedy}"
+        )
 
 
 def _dormand_prince(

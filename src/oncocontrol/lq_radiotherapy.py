@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .competition_dynamics import _MAX_STEPS, Trajectory
+from .competition_dynamics import _MAX_STEPS, Trajectory, _check_rk4_rate
 from .errors import ConfigError
 
 # days by which session edges may miss each other and still meet
@@ -189,7 +189,9 @@ def simulate_fractionated(
     close to dt.  Returns a Trajectory with regimes ("free"/"competition")
     and an in_session flag per sample: each node but the last takes the
     flag of the piece its step starts in.  A course of more steps than the
-    adaptive integrator's limit, _MAX_STEPS, is rejected before the first.
+    adaptive integrator's limit, _MAX_STEPS, is rejected before the first,
+    and so is an RK4 step outside sessions whose length times the fastest
+    growth rate passes RK4's stability limit (NumericalError).
     """
     if not (t_end > 0.0):
         raise ConfigError("t_end must be positive")
@@ -204,6 +206,13 @@ def simulate_fractionated(
         raise ConfigError(
             f"dt {dt:g} cuts t_end {t_end:g} into more than {_MAX_STEPS} steps"
         )
+    # rounding a piece's step count can stretch its steps to almost 1.5 dt
+    step = max(
+        ((b - a) / n for (a, b, s), n in zip(pieces, step_counts) if s is None),
+        default=0.0,
+    )
+    rates = (growth.free_healthy_rate, growth.free_cancer_rate, growth.competition_cancer_rate)
+    _check_rk4_rate(max(rates), step, "lower dt")
 
     k = growth.capacity
     trigger_level = growth.competition_trigger * k

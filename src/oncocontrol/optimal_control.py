@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .competition_dynamics import (
+    _check_rk4_rate,
     CompetitionParams,
     ControlParams,
     State,
@@ -59,8 +60,6 @@ SOLVER_DIRECT = "direct-transcription"
 
 # sweeps of history kept by solve_fbsm's Anderson mixing
 _ANDERSON_DEPTH = 5
-# RK4's stability interval on the negative real axis, [-2.785, 0]
-_RK4_REAL_LIMIT = 2.785
 # solve_direct's nonmonotone memory, Armijo fraction and step clamp
 _SPG_MEMORY = 10
 _SPG_ARMIJO = 1e-4
@@ -268,12 +267,7 @@ def _check_rk4_step(setup: OCPSetup) -> None:
         d.cancer_rate + c.cancer_kill_coeff * u_max,
         d.competition_coeff * d.shared_capacity + c.healthy_kill_coeff * u_max,
     )
-    if rate * setup.step > _RK4_REAL_LIMIT:
-        raise NumericalError(
-            f"the RK4 step of {setup.step:g} days times the fastest rate "
-            f"{rate:g}/day is {rate * setup.step:.4g}, past RK4's stability "
-            f"limit of {_RK4_REAL_LIMIT}; raise n_intervals or refine"
-        )
+    _check_rk4_rate(rate, setup.step, "raise n_intervals or refine")
 
 
 def forward_rollout(setup: OCPSetup, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

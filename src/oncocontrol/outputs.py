@@ -4,7 +4,8 @@ All writers go through an atomic replace: content lands in a temp file in
 the target directory and is moved into place, so a crash never leaves a
 half-written artifact.  Floats are serialised with repr, the shortest
 string that round-trips the exact double, which keeps reruns
-byte-identical across platforms.
+byte-identical across platforms.  No non-finite float reaches disk:
+either writer raises NumericalError, naming the file, before it writes.
 
 JSON payloads are plain Python values (dicts with string keys, lists,
 str, int, float, bool, None) handed straight to json.dumps; a numpy
@@ -15,16 +16,17 @@ repr digits.
 from __future__ import annotations
 
 import csv
-import io
 import json
+import math
 import os
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 
 
 def format_value(value):
@@ -68,14 +70,24 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
     writer.writerow(header)
     for row in rows:
-        writer.writerow([format_value(v) for v in row])
-    _atomic_write_text(path, buffer.getvalue())
+        cells = [format_value(v) for v in row]
+        writer.writerow(cells)
+        # csv writes a non-finite float as nan, inf or -inf, so only a row
+        # whose line holds one of those needs its cells looked at
+        if "nan" in lines[-1] or "inf" in lines[-1]:
+            for name, cell in zip(header, cells):
+                if isinstance(cell, float) and not math.isfinite(cell):
+                    raise NumericalError(f"{path}: column {name!r} holds {cell!r}; nothing written")
+    _atomic_write_text(path, "".join(lines))
 
 
 def write_json(path: Path, payload) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite float
+        raise NumericalError(f"{path}: {exc}; nothing written") from exc
     _atomic_write_text(path, text + "\n")

@@ -739,6 +739,31 @@ def test_fractionated_step_count_is_capped(tmp_path, run_cli, field, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "block, field, factor",
+    [
+        ("growth", "free_healthy_rate", 1e8),
+        ("growth", "free_healthy_rate", 1e30),
+        ("plan", "session_dose", 1e200),
+    ],
+)
+def test_fractionated_overflow_exits_two_with_nothing_non_finite_written(
+    tmp_path, run_cli, block, field, factor
+):
+    # the first two blow up the free regime's RK4 steps; the last makes the
+    # in-session LQ decay inf - inf
+    raw = json.loads((SHIPPED / "fractionated.json").read_text())
+    raw["output"]["directory"] = str(tmp_path / "out")
+    raw["parameters"][block][field] *= factor
+    result = run_cli("fractionated", "--config", write_config(tmp_path, raw))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("numerical failure: ")
+    assert "Traceback" not in result.stderr
+    for path in tmp_path.rglob("*"):
+        if path.is_file():
+            assert not re.search(r"\b(nan|inf)\b", path.read_text()), path
+
+
 def test_outputs_honour_the_umask(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(
@@ -817,34 +842,39 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # no kind uses scipy, so importing the command line must not load it
+def loaded_by_cli_import(module: str) -> bool:
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    probe = "import sys, oncocontrol.cli; print('scipy.optimize' in sys.modules)"
+    probe = f"import sys, oncocontrol.cli; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
 
 
-NO_SCIPY_PROBE = """
-import sys
-
-class NoScipy:
-    def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ModuleNotFoundError(f"No module named {name!r}")
-        return None
-
-sys.meta_path.insert(0, NoScipy())
-from oncocontrol.cli import main
-
-sys.exit(main(["ocp", "--config", sys.argv[1]]) or main(["dose-report", "--config", sys.argv[2]]))
-"""
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # no kind uses scipy, so importing the command line must not load it
+    assert not loaded_by_cli_import("scipy.optimize")
 
 
-def test_ocp_and_dose_report_run_without_scipy(tmp_path):
+def test_cli_import_leaves_jsonschema_unloaded():
+    # config.py walks the schema itself; jsonschema is a test oracle only
+    assert not loaded_by_cli_import("jsonschema")
+
+
+def test_shipped_configs_run_without_jsonschema(tmp_path, run_without):
+    paths = sorted(SHIPPED.glob("*.json"))
+    assert len(paths) == 8
+    commands = [
+        [json.loads(path.read_text())["kind"], "--config", path, "--out", tmp_path / path.stem]
+        for path in paths
+    ]
+    result = run_without(["jsonschema"], *commands)
+    assert result.returncode == 0, result.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.stem for p in paths)
+
+
+def test_ocp_and_dose_report_run_without_scipy(tmp_path, run_without):
     ocp_out, report_out = tmp_path / "ocp", tmp_path / "report"
     ocp_cfg = write_config(
         tmp_path,
@@ -864,11 +894,8 @@ def test_ocp_and_dose_report_run_without_scipy(tmp_path):
         name="ocp.json",
     )
     report_cfg = write_config(tmp_path, dose_report_payload(report_out), name="report.json")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    result = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_PROBE, str(ocp_cfg), str(report_cfg)],
-        env=env, capture_output=True, text=True,
+    result = run_without(
+        ["scipy"], ["ocp", "--config", ocp_cfg], ["dose-report", "--config", report_cfg]
     )
     assert result.returncode == 0, result.stderr
     assert sorted(p.name for p in ocp_out.iterdir()) == [

@@ -1,9 +1,11 @@
 """Scenario file validation, defaulting, and typed conversion."""
 
+import copy
 import dataclasses
 import inspect
 import json
 import math
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -22,6 +24,7 @@ from oncocontrol import (
     solve_direct,
     solve_fbsm,
 )
+from oncocontrol import config
 from oncocontrol.config import (
     load_config,
     parse_config,
@@ -291,3 +294,166 @@ def test_schema_kind_fields_match_library_keywords(kind, target, names):
     properties = SCHEMA["$defs"]["parameters"][kind]["properties"]
     assert set(names) <= set(properties)
     assert_defaults_agree(properties, library_keywords(target), names)
+
+
+# ---------------------------------------------------------------------------
+# the schema walk against jsonschema, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def defaulted(cfg) -> dict:
+    """A parsed config as the document it was filled into."""
+    output = {**dataclasses.asdict(cfg.output), "directory": str(cfg.output.directory)}
+    return {"kind": cfg.kind, "seed": cfg.seed, "output": output, "parameters": cfg.parameters}
+
+
+def oracle_validator(jsonschema):
+    """jsonschema's Draft 2020-12 validator, extended to fill defaults as
+    it descends, to fail non-finite floats and to refuse 501.0 as an
+    integer."""
+    base = jsonschema.Draft202012Validator
+
+    def properties(validator, properties, instance, schema):
+        if validator.is_type(instance, "object"):
+            for name, sub in properties.items():
+                if "default" in sub and name not in instance:
+                    instance[name] = copy.deepcopy(sub["default"])
+        yield from base.VALIDATORS["properties"](validator, properties, instance, schema)
+
+    def finite_type(validator, types, instance, schema):
+        if isinstance(instance, float) and not math.isfinite(instance):
+            yield jsonschema.ValidationError(f"{instance!r} is not a finite number")
+        else:
+            yield from base.VALIDATORS["type"](validator, types, instance, schema)
+
+    return jsonschema.validators.extend(
+        base,
+        {"properties": properties, "type": finite_type},
+        type_checker=base.TYPE_CHECKER.redefine(
+            "integer", lambda _, v: isinstance(v, int) and not isinstance(v, bool)
+        ),
+    )
+
+
+def oracle_parse(validator, raw: dict):
+    """(error line, None) or (None, filled document) from the oracle
+    validator, in the same two passes and with the same choice of error as
+    parse_config."""
+
+    def first_error(errors) -> tuple[str, str]:
+        err = min(errors, key=lambda e: (len(e.absolute_path), str(e.absolute_path)))
+        return "/".join(str(p) for p in err.absolute_path) or "<root>", err.message
+
+    data = copy.deepcopy(raw)
+    errors = list(validator(SCHEMA).iter_errors(data))
+    if errors:
+        return "{}: {}".format(*first_error(errors)), None
+    params = {"$ref": f"#/$defs/parameters/{data['kind']}", "$defs": SCHEMA["$defs"]}
+    errors = list(validator(params).iter_errors(data["parameters"]))
+    if errors:
+        return "parameters/{}: {}".format(*first_error(errors)), None
+    return None, data
+
+
+def node_paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from node_paths(child, (*prefix, key))
+
+
+def is_number(path, v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def is_key(path, v) -> bool:
+    return bool(path) and isinstance(path[-1], str)
+
+
+DELETE = object()
+
+# mutation -> (the nodes it applies to, the replacement or DELETE)
+MUTATIONS = {
+    "removed key": (is_key, lambda v, rng: DELETE),
+    "unknown keys": (
+        lambda path, v: isinstance(v, dict),
+        lambda v, rng: {**v, **dict.fromkeys(rng.choice([["knob"], ["knob", "Extra"]]), 1)},
+    ),
+    "wrong type": (
+        lambda path, v: bool(path),
+        lambda v, rng: rng.choice(["text", [], {}, True, None, 7, 2.5, "growth"]),
+    ),
+    "integer as float": (
+        lambda path, v: is_number(path, v) and isinstance(v, int), lambda v, rng: float(v)
+    ),
+    "non-finite": (is_number, lambda v, rng: rng.choice([math.nan, math.inf, -math.inf])),
+    "past a bound": (is_number, lambda v, rng: rng.choice([-1, -1.0, 0, 0.0, v + 1, 1e300])),
+    "empty array": (lambda path, v: isinstance(v, list), lambda v, rng: []),
+    "duplicate item": (lambda path, v: isinstance(v, list) and v, lambda v, rng: [*v, v[0]]),
+}
+
+
+def mutation_corpus(seed: int = 1, per_mutation: int = 3) -> list[dict]:
+    """The shipped configs, raw and defaulted, and seeded mutations of
+    each: per_mutation nodes for each mutation, but every number for a
+    bound, since few fields have a maximum."""
+    rng = random.Random(seed)
+    bases = [json.loads(path.read_text()) for path in sorted(CONFIGS.glob("*.json"))]
+    bases += [defaulted(parse_config(raw)) for raw in bases]
+    corpus = list(bases)
+    for base in bases:
+        for name, (applies, replace) in MUTATIONS.items():
+            paths = [p for p in node_paths(base) if applies(p, lookup(base, p))]
+            count = len(paths) if name == "past a bound" else min(per_mutation, len(paths))
+            for path in rng.sample(paths, count):
+                doc = copy.deepcopy(base)
+                new = replace(lookup(doc, path), rng)
+                if not path:
+                    doc = new
+                elif new is DELETE:
+                    del lookup(doc, path[:-1])[path[-1]]
+                else:
+                    lookup(doc, path[:-1])[path[-1]] = new
+                corpus.append(doc)
+    return corpus
+
+
+def lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def test_schema_walk_agrees_with_jsonschema():
+    jsonschema = pytest.importorskip(
+        "jsonschema", reason="jsonschema, the oracle for the schema walk, is not installed"
+    )
+    validator = oracle_validator(jsonschema)
+    corpus = mutation_corpus()
+    messages = []
+    for raw in corpus:
+        expected_error, expected_doc = oracle_parse(validator, raw)
+        try:
+            got = None, defaulted(parse_config(raw))
+        except ConfigError as exc:
+            got = str(exc), None
+        assert got == (expected_error, expected_doc), raw
+        messages.append(expected_error)
+    # the corpus reaches every kind of failure the schema can report
+    rejected = [m for m in messages if m is not None]
+    assert 0.5 * len(corpus) < len(rejected) < len(corpus)
+    for text in (
+        "is a required property", "were unexpected", "was unexpected",
+        "is not of type 'integer'", "is not of type 'object'", "is not one of",
+        "is not a finite number", "is less than the minimum of",
+        "is less than or equal to the minimum of", "is greater than the maximum of",
+        "should be non-empty", "has non-unique elements",
+    ):
+        assert any(text in m for m in rejected), text
+
+
+def test_a_schema_keyword_outside_the_walk_raises(monkeypatch):
+    schema = copy.deepcopy(SCHEMA)
+    schema["properties"]["kind"]["pattern"] = "^[a-z-]+$"
+    monkeypatch.setattr(config, "_schema", lambda: schema)
+    with pytest.raises(NotImplementedError, match="pattern"):
+        parse_config(growth_raw())

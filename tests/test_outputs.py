@@ -1,7 +1,11 @@
 """Byte format of the CSV and JSON writers."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from oncocontrol.errors import NumericalError
 from oncocontrol.outputs import write_csv, write_json
 
 FLOATS = [0.1, 0.1 + 0.2, 1.0 / 3.0, 1e-300 / 3.0, 2.5e16, -0.0, 7.0e5]
@@ -29,3 +33,12 @@ def test_write_csv_cells(tmp_path):
         ",".join(repr(x) for x in FLOATS),
         'true,false,true,false,,3,"a,b"',
     ]
+
+
+@pytest.mark.parametrize("value", [math.nan, np.float64(-math.inf)], ids=["nan", "-inf"])
+def test_non_finite_floats_are_numerical_errors_with_nothing_written(tmp_path, value):
+    with pytest.raises(NumericalError, match=r"cells\.csv: column 'c1' holds"):
+        write_csv(tmp_path / "cells.csv", ["c0", "c1"], [[1.0, 2.0], ["nan", value]])
+    with pytest.raises(NumericalError, match=r"summary\.json: "):
+        write_json(tmp_path / "summary.json", {"final": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
